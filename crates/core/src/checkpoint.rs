@@ -64,7 +64,6 @@ use crate::encode::HistInfDump;
 use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, IncrementalChecker, NodeEngine, NodeState};
 use crate::set::{ConstraintSet, DispatchStats};
-use crate::shard::ShardedEngine;
 
 /// A checkpoint failure.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -120,22 +119,7 @@ fn write_values(out: &mut String, t: &Tuple) {
 
 /// Serializes the checker's full state.
 pub fn save(checker: &IncrementalChecker) -> String {
-    save_parts(
-        checker.database(),
-        checker.engine(),
-        checker.steps(),
-        SectionExtras::default(),
-    )
-}
-
-/// Fleet-level state a section optionally carries beyond the engine's
-/// own: the set's dispatch tallies (identical in every section, restored
-/// so counters keep matching engine-steps across resume) and, for a
-/// sharded constraint, its phantom and live shards.
-#[derive(Clone, Copy, Default)]
-struct SectionExtras<'a> {
-    dispatch: Option<DispatchStats>,
-    sharded: Option<&'a ShardedEngine>,
+    save_parts(checker.database(), checker.engine(), checker.steps(), None)
 }
 
 /// Serializes a fleet: one `(constraint, v1 section)` per **healthy**
@@ -144,53 +128,41 @@ struct SectionExtras<'a> {
 /// the whole list restores the set ([`restore_set`]). Quarantined
 /// engines are excluded — their mid-panic state is not trustworthy — so
 /// resuming such a checkpoint with the full constraint file fails with a
-/// missing-section error for the quarantined constraint. Sharded
-/// constraints serialize per-shard sections: the phantom plus only the
-/// **live** shards, so resume rematerializes exactly the live ones.
+/// missing-section error for the quarantined constraint.
 pub fn save_set(set: &ConstraintSet) -> Vec<(Symbol, String)> {
     let dispatch = set.dispatch_stats();
     set.engines_with_health()
-        .filter(|(_, _, quarantined)| !quarantined)
-        .map(|(engine, sharded, _)| {
+        .filter(|(_, quarantined)| !quarantined)
+        .map(|(engine, _)| {
             (
                 engine.compiled.constraint.name,
-                save_parts(
-                    set.database(),
-                    engine,
-                    set.steps(),
-                    SectionExtras {
-                        dispatch: Some(dispatch),
-                        sharded,
-                    },
-                ),
+                save_parts(set.database(), engine, set.steps(), Some(dispatch)),
             )
         })
         .collect()
 }
 
-/// One `rtic-checkpoint v1` section for an engine over `db`.
+/// One `rtic-checkpoint v1` section for an engine over `db`. A fleet's
+/// sections also carry its dispatch tallies (identical in every section,
+/// restored so counters keep matching engine-steps across resume).
 fn save_parts(
     db: &Database,
     engine: &NodeEngine,
     steps: usize,
-    extras: SectionExtras<'_>,
+    dispatch: Option<DispatchStats>,
 ) -> String {
     let mut out = String::new();
     out.push_str("rtic-checkpoint v1\n");
     let _ = writeln!(out, "constraint {}", engine.compiled.constraint.name);
     let _ = writeln!(out, "body {}", engine.compiled.body);
-    let last_time = match extras.sharded {
-        Some(s) => s.phantom_engine().last_time,
-        None => engine.last_time,
-    };
-    match last_time {
+    match engine.last_time {
         Some(t) => {
             let _ = writeln!(out, "time {}", t.0);
         }
         None => out.push_str("time none\n"),
     }
     let _ = writeln!(out, "steps {steps}");
-    if let Some(d) = extras.dispatch {
+    if let Some(d) = dispatch {
         let _ = writeln!(
             out,
             "dispatch {} {} {} {}",
@@ -209,25 +181,7 @@ fn save_parts(
         }
         out.push_str("endrel\n");
     }
-    match extras.sharded {
-        None => write_nodes(&mut out, engine),
-        Some(sharded) => {
-            // The sharded data plane replaces the (dormant) main
-            // engine's node blocks: the phantom's state plus one block
-            // per live shard. Sub-databases are not serialized — they
-            // are rebuilt at restore by partitioning the shared
-            // database on the key columns.
-            let _ = writeln!(out, "shardkey {}", sharded.key().var);
-            out.push_str("phantom\n");
-            write_nodes(&mut out, sharded.phantom_engine());
-            out.push_str("endphantom\n");
-            for (key, shard_engine) in sharded.live_shards() {
-                let _ = writeln!(out, "shard {}", key.to_literal());
-                write_nodes(&mut out, shard_engine);
-                out.push_str("endshard\n");
-            }
-        }
-    }
+    write_nodes(&mut out, engine);
     out
 }
 
@@ -397,7 +351,6 @@ pub fn restore(
     restore_section(
         db,
         engine,
-        None,
         steps_slot,
         &mut DispatchStats::default(),
         text,
@@ -429,30 +382,12 @@ pub fn restore_set_with_options(
     options: EncodingOptions,
     sections: &[String],
 ) -> Result<ConstraintSet, CheckpointError> {
-    restore_set_sharded(constraints, catalog, options, sections, false)
-}
-
-/// [`restore_set_with_options`] with the entity-key sharded data plane
-/// enabled (`sharding`) before the sections are applied. A checkpoint
-/// written sharded must be resumed sharded and vice versa — the sections
-/// record which plane produced them, and a mismatch is rejected with an
-/// actionable error rather than silently dropping per-shard state.
-pub fn restore_set_sharded(
-    constraints: impl IntoIterator<Item = Constraint>,
-    catalog: Arc<Catalog>,
-    options: EncodingOptions,
-    sections: &[String],
-    sharding: bool,
-) -> Result<ConstraintSet, CheckpointError> {
     let mut set =
         ConstraintSet::with_options(constraints, catalog, options).map_err(|(c, e)| {
             CheckpointError::Mismatch {
                 message: format!("constraint `{}` failed to compile: {e}", c.name),
             }
         })?;
-    if sharding {
-        set.set_sharding(true);
-    }
     let parts = set.restore_parts();
     let mut cursor: Option<(usize, Option<TimePoint>)> = None;
     let mut dispatch: Option<DispatchStats> = None;
@@ -479,7 +414,6 @@ pub fn restore_set_sharded(
         restore_section(
             parts.db,
             engine,
-            parts.shards[i].as_mut(),
             &mut steps,
             &mut section_dispatch,
             section,
@@ -517,6 +451,11 @@ fn section_constraint_name(text: &str) -> Option<&str> {
         .find_map(|l| l.trim().strip_prefix("constraint "))
 }
 
+/// The line prefix that marks a section written by the removed entity-key
+/// sharded data plane (`rtic check --shard auto`). Such sections hold
+/// per-key state this restore cannot rebuild, so they are rejected.
+const LEGACY_SHARD_KEY: &str = "shardkey ";
+
 /// How a section's `rel` blocks relate to the database being restored.
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum RelMode {
@@ -530,14 +469,10 @@ enum RelMode {
 /// Restores one v1 section into an engine (and, per `rel_mode`, the
 /// database). `steps_slot` receives the section's step cursor and
 /// `dispatch_slot` the fleet dispatch counters when the section carries
-/// them. When the constraint runs sharded, pass its [`ShardedEngine`]:
-/// sharded sections restore the phantom and per-key shard node blocks
-/// into it (and partition the shared database afterwards) instead of
-/// touching `engine`'s node states.
+/// them.
 fn restore_section(
     db: &mut Database,
     engine: &mut NodeEngine,
-    mut sharded: Option<&mut ShardedEngine>,
     steps_slot: &mut usize,
     dispatch_slot: &mut DispatchStats,
     text: &str,
@@ -549,6 +484,17 @@ fn restore_section(
         _ => return Err(r.err("missing `rtic-checkpoint v1` header")),
     }
     let name = r.expect_kv("constraint")?;
+    if text
+        .lines()
+        .any(|l| l.trim_start().starts_with(LEGACY_SHARD_KEY))
+    {
+        return Err(CheckpointError::Mismatch {
+            message: format!(
+                "constraint `{name}`: this checkpoint was written by the removed \
+                 `--shard auto` data plane and cannot be resumed; start a fresh run"
+            ),
+        });
+    }
     let body = r.expect_kv("body")?;
     {
         if engine.compiled.constraint.name.as_str() != name {
@@ -604,7 +550,6 @@ fn restore_section(
 
     engine.last_time = last_time;
     *steps_slot = steps;
-    let mut saw_shardkey = false;
     while let Some(line) = r.peek() {
         if let Some(rel_name) = line.strip_prefix("rel ") {
             r.next();
@@ -671,100 +616,12 @@ fn restore_section(
             }
         } else if let Some(rest) = line.strip_prefix("node ") {
             r.next();
-            if sharded.is_some() {
-                return Err(CheckpointError::Mismatch {
-                    message: format!(
-                        "constraint `{name}`: the checkpoint was written without sharding, \
-                         but this run shards it — resume with `--shard off`, or start a \
-                         fresh run"
-                    ),
-                });
-            }
             restore_node(&mut r, rest, &mut engine.states)?;
-        } else if let Some(var_text) = line.strip_prefix("shardkey ") {
-            r.next();
-            saw_shardkey = true;
-            let sh = sharded
-                .as_deref_mut()
-                .ok_or_else(|| CheckpointError::Mismatch {
-                    message: format!(
-                        "constraint `{name}`: the checkpoint was written with `--shard auto`, \
-                         but this run does not shard it — resume with `--shard auto`, or \
-                         start a fresh run"
-                    ),
-                })?;
-            if sh.key().var.0.as_str() != var_text {
-                return Err(CheckpointError::Mismatch {
-                    message: format!(
-                        "constraint `{name}`: checkpoint shard key `{var_text}` differs \
-                         from the compiled key `{}`",
-                        sh.key().var
-                    ),
-                });
-            }
-        } else if line == "phantom" {
-            r.next();
-            let sh = sharded
-                .as_deref_mut()
-                .ok_or_else(|| r.err("`phantom` outside a sharded section"))?;
-            restore_nodes_until(&mut r, &mut sh.phantom_engine_mut().states, "endphantom")?;
-        } else if let Some(lit) = line.strip_prefix("shard ") {
-            r.next();
-            let sh = sharded
-                .as_deref_mut()
-                .ok_or_else(|| r.err("`shard` outside a sharded section"))?;
-            let values = Value::parse_literals(lit).map_err(|m| r.err(m))?;
-            let &[key] = &values[..] else {
-                return Err(r.err("`shard` takes exactly one key literal"));
-            };
-            let shard = sh.restore_shard(key);
-            restore_nodes_until(&mut r, &mut shard.engine.states, "endshard")?;
         } else {
             return Err(r.err(format!("unexpected line `{line}`")));
         }
     }
-    if let Some(sh) = sharded {
-        if !saw_shardkey {
-            return Err(CheckpointError::Mismatch {
-                message: format!(
-                    "constraint `{name}`: the checkpoint was written without sharding, \
-                     but this run shards it — resume with `--shard off`, or start a \
-                     fresh run"
-                ),
-            });
-        }
-        sh.attach_partition(db)
-            .map_err(|message| CheckpointError::Mismatch { message })?;
-        sh.set_last_time(last_time);
-    }
     Ok(())
-}
-
-/// Restores consecutive `node …` blocks until the closing `end` marker
-/// (which is consumed) — the body of a `phantom`/`shard` block.
-fn restore_nodes_until(
-    r: &mut Reader<'_>,
-    states: &mut [NodeState],
-    end: &str,
-) -> Result<(), CheckpointError> {
-    loop {
-        match r.peek() {
-            Some(l) if l == end => {
-                r.next();
-                return Ok(());
-            }
-            Some(l) => {
-                let Some(rest) = l.strip_prefix("node ") else {
-                    return Err(r.err(format!(
-                        "unexpected line `{l}` (expected `node …` or `{end}`)"
-                    )));
-                };
-                r.next();
-                restore_node(r, rest, states)?;
-            }
-            None => return Err(r.err(format!("unterminated block: missing `{end}`"))),
-        }
-    }
 }
 
 /// Restores one `node <idx> <kind>` block (through its `endnode`) into
@@ -1189,81 +1046,33 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fleet_save_restore_resumes_identically() {
-        let cat = catalog();
-        // The reference is the *unsharded* fleet: the stitched sharded run
-        // must match it byte for byte.
-        let mut reference = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
-        let all = drive_set(&mut reference, 1, 40);
-
-        let mut head = crate::ConstraintSet::new(fleet(), Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        head.set_shard_eviction(3);
-        assert_eq!(head.sharded_constraints(), 3);
-        let mut got = drive_set(&mut head, 1, 20);
-        let sections: Vec<String> = save_set(&head).into_iter().map(|(_, s)| s).collect();
-        let mut resumed = restore_set_sharded(
-            fleet(),
-            Arc::clone(&cat),
-            EncodingOptions::default(),
-            &sections,
-            true,
-        )
-        .unwrap();
-        assert_eq!(resumed.steps(), head.steps());
-        assert_eq!(resumed.last_time(), head.last_time());
-        assert_eq!(resumed.sharded_constraints(), 3);
-        assert_eq!(
-            save_set(&resumed)
-                .into_iter()
-                .map(|(_, s)| s)
-                .collect::<Vec<_>>(),
-            sections,
-            "save∘restore is the identity on sharded checkpoints"
-        );
-        resumed.set_shard_eviction(3);
-        got.extend(drive_set(&mut resumed, 20, 40));
-        assert_eq!(
-            got, all,
-            "restored sharded fleet diverged from the uninterrupted unsharded run"
-        );
-    }
-
-    #[test]
-    fn sharded_and_unsharded_checkpoints_do_not_mix() {
-        let cat = catalog();
-        let mut sharded = crate::ConstraintSet::new(fleet(), Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        drive_set(&mut sharded, 1, 10);
-        let sharded_sections: Vec<String> =
-            save_set(&sharded).into_iter().map(|(_, s)| s).collect();
-        let mut plain = crate::ConstraintSet::new(fleet(), Arc::clone(&cat)).unwrap();
-        drive_set(&mut plain, 1, 10);
-        let plain_sections: Vec<String> = save_set(&plain).into_iter().map(|(_, s)| s).collect();
-
-        // Sharded checkpoint, unsharded resume.
-        let err = restore_set(fleet(), Arc::clone(&cat), &sharded_sections).unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        assert!(
-            err.to_string().contains("--shard auto"),
-            "error must say how to resume: {err}"
-        );
-
-        // Unsharded checkpoint, sharded resume.
-        let err = restore_set_sharded(
-            fleet(),
-            Arc::clone(&cat),
-            EncodingOptions::default(),
-            &plain_sections,
-            true,
+    fn legacy_sharded_sections_are_rejected_with_a_fresh_run_hint() {
+        // A section as the removed `--shard auto` data plane wrote it: the
+        // shared database, then a `shardkey` line, the phantom's node
+        // blocks, and one node block per live key.
+        let section = "rtic-checkpoint v1\n\
+                       constraint both\n\
+                       body p(x) && q(x)\n\
+                       time 3\n\
+                       steps 3\n\
+                       dispatch 3 0 0 0\n\
+                       rel p\n\
+                       | \"a\"\n\
+                       endrel\n\
+                       shardkey x\n\
+                       phantom\n\
+                       endphantom\n\
+                       shard \"a\"\n\
+                       endshard\n";
+        let err = restore_set(
+            fleet().into_iter().take(1),
+            catalog(),
+            &[section.to_string()],
         )
         .unwrap_err();
-        assert!(matches!(err, CheckpointError::Mismatch { .. }));
-        assert!(
-            err.to_string().contains("--shard off"),
-            "error must say how to resume: {err}"
-        );
+        assert!(matches!(err, CheckpointError::Mismatch { .. }), "{err:?}");
+        let text = err.to_string();
+        assert!(text.contains("removed `--shard auto`"), "{text}");
+        assert!(text.contains("start a fresh run"), "{text}");
     }
 }

@@ -64,13 +64,12 @@ pub mod observe;
 pub mod plan;
 mod report;
 mod set;
-mod shard;
 mod windowed;
 
 pub use backend::BackendId;
 pub use binding::{Bindings, Scratch};
 pub use checker::Checker;
-pub use compile::{CompiledConstraint, ShardKey};
+pub use compile::CompiledConstraint;
 pub use error::CompileError;
 pub use incremental::{EncodingOptions, IncrementalChecker, NodeStat};
 pub use monitor::QueryMonitor;
@@ -82,5 +81,4 @@ pub use plan::{
 };
 pub use report::{SpaceStats, StepReport};
 pub use set::{ConstraintSet, DispatchStats, FleetHealth, Parallelism};
-pub use shard::{ShardStats, DEFAULT_EVICT_AFTER};
 pub use windowed::WindowedChecker;

@@ -60,7 +60,6 @@ use crate::error::CompileError;
 use crate::incremental::{EncodingOptions, NodeEngine};
 use crate::observe::{NopObserver, StepEvent, StepObserver};
 use crate::report::{SpaceStats, StepReport};
-use crate::shard::{Shard, ShardStats, ShardedEngine};
 
 /// Worker budget for the full-evaluation phase of [`ConstraintSet::step`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -149,11 +148,6 @@ impl FleetHealth {
 pub struct ConstraintSet {
     db: Database,
     engines: Vec<NodeEngine>,
-    /// Entity-key sharded data plane, one slot per constraint: `Some`
-    /// when sharding is enabled and the constraint has a compile-time
-    /// [`crate::ShardKey`]. A sharded constraint steps through its
-    /// [`ShardedEngine`] instead of its (then dormant) `engines` entry.
-    shards: Vec<Option<ShardedEngine>>,
     last_time: Option<TimePoint>,
     steps: usize,
     parallelism: Parallelism,
@@ -165,21 +159,17 @@ pub struct ConstraintSet {
     armed_panics: Vec<Option<u64>>,
 }
 
-/// One unit of work for the full-evaluation phase: a whole unsharded
-/// engine, or a single shard of a sharded one.
-enum Job<'a> {
-    Engine {
-        inject: bool,
-        engine: &'a mut NodeEngine,
-    },
-    Shard(&'a mut Shard),
+/// One unit of work for the full-evaluation phase: an engine, and
+/// whether it is armed to panic this step.
+struct Job<'a> {
+    inject: bool,
+    engine: &'a mut NodeEngine,
 }
 
 /// Mutable view of a [`ConstraintSet`] for checkpoint restore.
 pub(crate) struct RestoreParts<'a> {
     pub(crate) db: &'a mut Database,
     pub(crate) engines: &'a mut [NodeEngine],
-    pub(crate) shards: &'a mut [Option<ShardedEngine>],
     pub(crate) steps: &'a mut usize,
     pub(crate) last_time: &'a mut Option<TimePoint>,
     pub(crate) dispatch: &'a mut DispatchStats,
@@ -215,7 +205,6 @@ impl ConstraintSet {
         Ok(ConstraintSet {
             db,
             engines,
-            shards: vec![None; n],
             last_time: None,
             steps: 0,
             parallelism: Parallelism::Sequential,
@@ -225,48 +214,13 @@ impl ConstraintSet {
         })
     }
 
-    /// Enables (or disables) the entity-key sharded data plane (builder
-    /// form). Constraints whose compiled body has a [`crate::ShardKey`]
-    /// then step as independent per-key shards; the rest are unaffected.
-    /// Reports are byte-identical either way. Must be configured before
-    /// the first step.
-    pub fn with_sharding(mut self, enabled: bool) -> ConstraintSet {
-        self.set_sharding(enabled);
+    /// Kept only for the end-to-end benchmark's `with_sharding(false)`
+    /// call; the sharded data plane it once switched on is gone, so this
+    /// is the identity. Goes with the next change to the benchmark.
+    #[doc(hidden)]
+    pub fn with_sharding(self, enabled: bool) -> ConstraintSet {
+        assert!(!enabled, "the sharded data plane was removed");
         self
-    }
-
-    /// Enables or disables sharding; see [`ConstraintSet::with_sharding`].
-    pub fn set_sharding(&mut self, enabled: bool) {
-        assert_eq!(self.steps, 0, "sharding must be configured before stepping");
-        self.shards = self
-            .engines
-            .iter()
-            .map(|e| {
-                (enabled && e.compiled.shard_key.is_some()).then(|| ShardedEngine::new(e.clone()))
-            })
-            .collect();
-    }
-
-    /// Sets the idle-shard eviction horizon on every sharded constraint.
-    pub fn set_shard_eviction(&mut self, horizon: u32) {
-        for s in self.shards.iter_mut().flatten() {
-            s.set_evict_after(horizon);
-        }
-    }
-
-    /// Number of constraints currently running sharded.
-    pub fn sharded_constraints(&self) -> usize {
-        self.shards.iter().flatten().count()
-    }
-
-    /// Per-constraint shard-lifecycle counters, in insertion order
-    /// (sharded constraints only).
-    pub fn shard_stats(&self) -> Vec<(Symbol, ShardStats)> {
-        self.engines
-            .iter()
-            .zip(&self.shards)
-            .filter_map(|(e, s)| s.as_ref().map(|s| (e.compiled.constraint.name, s.stats())))
-            .collect()
     }
 
     /// Sets the worker budget (builder form).
@@ -381,27 +335,22 @@ impl ConstraintSet {
         found
     }
 
-    /// Engines in insertion order, paired with their sharded data plane
-    /// (if any) and quarantine state (checkpointing reads these;
-    /// quarantined engines are excluded from checkpoints because their
-    /// mid-panic state is not trustworthy).
-    pub(crate) fn engines_with_health(
-        &self,
-    ) -> impl Iterator<Item = (&NodeEngine, Option<&ShardedEngine>, bool)> {
+    /// Engines in insertion order, paired with their quarantine state
+    /// (checkpointing reads these; quarantined engines are excluded from
+    /// checkpoints because their mid-panic state is not trustworthy).
+    pub(crate) fn engines_with_health(&self) -> impl Iterator<Item = (&NodeEngine, bool)> {
         self.engines
             .iter()
-            .zip(&self.shards)
             .zip(&self.quarantined)
-            .map(|((e, s), q)| (e, s.as_ref(), q.is_some()))
+            .map(|(e, q)| (e, q.is_some()))
     }
 
     /// Mutable parts for checkpoint restore: shared database, engines,
-    /// shard planes, and the step/time/dispatch cursor slots.
+    /// and the step/time/dispatch cursor slots.
     pub(crate) fn restore_parts(&mut self) -> RestoreParts<'_> {
         RestoreParts {
             db: &mut self.db,
             engines: &mut self.engines,
-            shards: &mut self.shards,
             steps: &mut self.steps,
             last_time: &mut self.last_time,
             dispatch: &mut self.dispatch,
@@ -456,39 +405,14 @@ impl ConstraintSet {
         // else for full evaluation. Quarantined engines are skipped
         // entirely, and an engine armed to panic this step is forced onto
         // the full path so the panic surfaces inside `catch_unwind`.
-        // Sharded constraints contribute one job per live shard (plus the
-        // phantom), flattening into the same worker pool as the plain
-        // engines; their per-shard advance_time fast path replaces the
-        // constraint-level one.
         let mut panicked: Vec<(usize, String)> = Vec::new();
         let mut full: Vec<(usize, Job<'_>)> = Vec::new();
-        for (idx, (engine, sharded)) in self
-            .engines
-            .iter_mut()
-            .zip(self.shards.iter_mut())
-            .enumerate()
-        {
+        for (idx, engine) in self.engines.iter_mut().enumerate() {
             if self.quarantined[idx].is_some() {
                 quarantine_ticks += 1;
                 continue;
             }
             let inject_panic = self.armed_panics[idx] == Some(nth_step);
-            if let Some(sharded) = sharded {
-                if engine.is_quiescent(update) {
-                    quiescent_full += 1;
-                } else {
-                    affected += 1;
-                }
-                if inject_panic {
-                    panicked.push((idx, "injected engine panic (failpoint)".to_string()));
-                    continue;
-                }
-                sharded.begin_step(update);
-                for shard in sharded.jobs() {
-                    full.push((idx, Job::Shard(shard)));
-                }
-                continue;
-            }
             if !inject_panic && engine.is_quiescent(update) {
                 let eval_start = Instant::now();
                 if let Some(violations) = engine.advance_time(time) {
@@ -507,7 +431,7 @@ impl ConstraintSet {
             }
             full.push((
                 idx,
-                Job::Engine {
+                Job {
                     inject: inject_panic,
                     engine,
                 },
@@ -522,46 +446,37 @@ impl ConstraintSet {
         // configured. Chunks are static: determinism comes from scattering
         // results back by engine index, not from scheduling. Each job
         // runs inside `catch_unwind`, so one poisoned constraint cannot
-        // take down the fleet — it is quarantined at fan-in instead (a
-        // panicking shard quarantines its whole constraint).
+        // take down the fleet — it is quarantined at fan-in instead.
         let workers = self.parallelism.workers(full.len());
         let db = &self.db;
-        let eval_job = |job: &mut Job<'_>| -> Result<Option<(StepReport, u64)>, String> {
-            match job {
-                Job::Engine { inject, engine } => {
-                    let eval_start = Instant::now();
-                    let name = engine.compiled.constraint.name;
-                    let inject = *inject;
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        if inject {
-                            panic!("injected engine panic (failpoint)");
-                        }
-                        engine.advance(db, time);
-                        engine.violations(db, time)
-                    }));
-                    match outcome {
-                        Ok(violations) => Ok(Some((
-                            StepReport {
-                                constraint: name,
-                                time,
-                                violations,
-                            },
-                            eval_start.elapsed().as_nanos() as u64,
-                        ))),
-                        Err(payload) => Err(panic_detail(payload.as_ref())),
-                    }
+        let eval_job = |job: &mut Job<'_>| -> Result<(StepReport, u64), String> {
+            let eval_start = Instant::now();
+            let Job { inject, engine } = job;
+            let name = engine.compiled.constraint.name;
+            let inject = *inject;
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if inject {
+                    panic!("injected engine panic (failpoint)");
                 }
-                Job::Shard(shard) => match catch_unwind(AssertUnwindSafe(|| shard.eval(time))) {
-                    Ok(()) => Ok(None),
-                    Err(payload) => Err(panic_detail(payload.as_ref())),
-                },
+                engine.advance(db, time);
+                engine.violations(db, time)
+            }));
+            match outcome {
+                Ok(violations) => Ok((
+                    StepReport {
+                        constraint: name,
+                        time,
+                        violations,
+                    },
+                    eval_start.elapsed().as_nanos() as u64,
+                )),
+                Err(payload) => Err(panic_detail(payload.as_ref())),
             }
         };
         if workers <= 1 {
             for (idx, mut job) in full {
                 match eval_job(&mut job) {
-                    Ok(Some(done)) => slots[idx] = Some(done),
-                    Ok(None) => {}
+                    Ok(done) => slots[idx] = Some(done),
                     Err(detail) => panicked.push((idx, detail)),
                 }
             }
@@ -587,8 +502,7 @@ impl ConstraintSet {
                     Ok(batch) => {
                         for (idx, outcome) in batch {
                             match outcome {
-                                Ok(Some(done)) => slots[idx] = Some(done),
-                                Ok(None) => {}
+                                Ok(done) => slots[idx] = Some(done),
                                 Err(detail) => panicked.push((idx, detail)),
                             }
                         }
@@ -606,9 +520,7 @@ impl ConstraintSet {
         }
 
         // Fan-in: emit per-constraint events and assemble reports in
-        // insertion order. Sharded constraints merge their per-shard
-        // violation sets in ascending key order here, so reports are
-        // byte-identical to the unsharded path. Newly quarantined
+        // insertion order. Newly quarantined
         // constraints emit a quarantine event in place of their report;
         // previously quarantined ones stay silent.
         let mut reports = Vec::with_capacity(n);
@@ -623,27 +535,11 @@ impl ConstraintSet {
                 });
                 continue;
             }
-            let slot = if let Some(sharded) = self.shards[idx].as_mut() {
-                if self.quarantined[idx].is_some() {
-                    continue;
-                }
-                let (violations, latency_ns) = sharded.finish_step();
-                Some((
-                    StepReport {
-                        constraint: self.engines[idx].compiled.constraint.name,
-                        time,
-                        violations,
-                    },
-                    latency_ns,
-                ))
-            } else {
-                debug_assert!(
-                    slot.is_some() || self.quarantined[idx].is_some(),
-                    "every healthy engine produces a report"
-                );
-                slot.take()
-            };
-            let Some((report, latency_ns)) = slot else {
+            debug_assert!(
+                slot.is_some() || self.quarantined[idx].is_some(),
+                "every healthy engine produces a report"
+            );
+            let Some((report, latency_ns)) = slot.take() else {
                 continue;
             };
             total_violations += report.violation_count();
@@ -718,18 +614,13 @@ impl ConstraintSet {
         let Some(time) = self.last_time else {
             return;
         };
-        for ((engine, sharded), quarantined) in
-            self.engines.iter().zip(&self.shards).zip(&self.quarantined)
-        {
+        for (engine, quarantined) in self.engines.iter().zip(&self.quarantined) {
             if quarantined.is_some() {
                 // A quarantined engine's aux state froze mid-panic; its
                 // numbers would be misleading.
                 continue;
             }
-            let (aux_keys, aux_timestamps) = match sharded {
-                Some(s) => s.aux_space(),
-                None => engine.aux_space(),
-            };
+            let (aux_keys, aux_timestamps) = engine.aux_space();
             obs.observe(&StepEvent::SpaceSample {
                 checker: "set",
                 constraint: engine.compiled.constraint.name,
@@ -742,15 +633,6 @@ impl ConstraintSet {
                     stored_tuples: self.db.total_tuples(),
                 },
             });
-            if let Some(s) = sharded {
-                obs.observe(&StepEvent::ShardSample {
-                    checker: "set",
-                    constraint: engine.compiled.constraint.name,
-                    time,
-                    step_index,
-                    stats: s.stats(),
-                });
-            }
         }
     }
 
@@ -768,16 +650,12 @@ impl ConstraintSet {
         result
     }
 
-    /// Aggregate space: the single shared state plus every engine's aux
-    /// (summed across live shards for sharded constraints).
+    /// Aggregate space: the single shared state plus every engine's aux.
     pub fn space(&self) -> SpaceStats {
         let mut aux_keys = 0;
         let mut aux_timestamps = 0;
-        for (e, s) in self.engines.iter().zip(&self.shards) {
-            let (k, t) = match s {
-                Some(s) => s.aux_space(),
-                None => e.aux_space(),
-            };
+        for e in &self.engines {
+            let (k, t) = e.aux_space();
             aux_keys += k;
             aux_timestamps += t;
         }
@@ -1190,149 +1068,19 @@ mod tests {
         );
     }
 
-    /// Multi-entity traffic: keys churn so shards get created, fall
-    /// idle, and are evicted mid-run.
-    fn entity_updates(t: u64) -> Update {
-        match t % 6 {
-            0 => Update::new()
-                .with_insert("p", tuple!["a"])
-                .with_insert("q", tuple!["b"]),
-            1 => Update::new()
-                .with_insert("q", tuple!["a"])
-                .with_insert("p", tuple!["c"]),
-            2 => Update::new()
-                .with_delete("p", tuple!["a"])
-                .with_delete("q", tuple!["b"]),
-            3 => Update::new()
-                .with_delete("q", tuple!["a"])
-                .with_insert("q", tuple!["c"]),
-            4 => Update::new()
-                .with_delete("p", tuple!["c"])
-                .with_delete("q", tuple!["c"]),
-            _ => Update::new(),
-        }
-    }
-
-    #[test]
-    fn sharded_set_matches_unsharded_byte_for_byte() {
-        let cat = catalog();
-        for par in [Parallelism::Sequential, Parallelism::N(3)] {
-            let mut plain = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            let mut sharded = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_sharding(true)
-                .with_parallelism(par);
-            // Small idle horizon so eviction actually happens mid-run.
-            sharded.set_shard_eviction(2);
-            assert_eq!(
-                sharded.sharded_constraints(),
-                3,
-                "`x` is shared by every atom of every body"
-            );
-            for t in 1..80u64 {
-                let u = entity_updates(t);
-                let a = plain.step(TimePoint(t), &u).unwrap();
-                let b = sharded.step(TimePoint(t), &u).unwrap();
-                assert_eq!(a, b, "{par:?}: diverged at t={t}");
-            }
-            let stats = sharded.shard_stats();
-            assert_eq!(stats.len(), 3);
-            assert!(
-                stats.iter().any(|(_, s)| s.created > 1),
-                "keys materialized shards: {stats:?}"
-            );
-            assert!(
-                stats.iter().any(|(_, s)| s.evicted > 0),
-                "idle shards were evicted: {stats:?}"
-            );
-            assert!(stats.iter().all(|(_, s)| s.peak >= s.live));
-        }
-    }
-
-    #[test]
-    fn unshardable_constraints_run_unsharded_in_a_sharded_fleet() {
-        let cat = Arc::new(
-            Catalog::new()
-                .with("edge", Schema::of(&[("x", Sort::Str), ("y", Sort::Str)]))
-                .unwrap()
-                .with("p", Schema::of(&[("x", Sort::Str)]))
-                .unwrap(),
-        );
-        let cs = vec![
-            // Key columns disagree between the two `edge` atoms — no key.
-            parse_constraint("deny cross: edge(x, y) && edge(y, x)").unwrap(),
-            parse_constraint("deny dup: p(x) && once[1,*] p(x)").unwrap(),
-        ];
-        let mut plain = ConstraintSet::new(cs.clone(), Arc::clone(&cat)).unwrap();
-        let mut mixed = ConstraintSet::new(cs, Arc::clone(&cat))
-            .unwrap()
-            .with_sharding(true);
-        assert_eq!(mixed.sharded_constraints(), 1);
-        for t in 1..25u64 {
-            let mut u = Update::new();
-            match t % 4 {
-                0 => {
-                    u.insert("edge", tuple!["a", "b"]).insert("p", tuple!["a"]);
-                }
-                1 => {
-                    u.insert("edge", tuple!["b", "a"]).delete("p", tuple!["a"]);
-                }
-                2 => {
-                    u.delete("edge", tuple!["a", "b"]).insert("p", tuple!["b"]);
-                }
-                _ => {}
-            }
-            let a = plain.step(TimePoint(t), &u).unwrap();
-            let b = mixed.step(TimePoint(t), &u).unwrap();
-            assert_eq!(a, b, "diverged at t={t}");
-        }
-    }
-
-    #[test]
-    fn sharded_panic_quarantines_the_whole_constraint() {
-        let cat = catalog();
-        for par in [Parallelism::Sequential, Parallelism::N(2)] {
-            let mut set = ConstraintSet::new(constraints(), Arc::clone(&cat))
-                .unwrap()
-                .with_sharding(true)
-                .with_parallelism(par);
-            let mut healthy = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            set.arm_panic("lingering", 2);
-            for t in 1..12u64 {
-                let u = entity_updates(t);
-                let r = set.step(TimePoint(t), &u).unwrap();
-                let h = healthy.step(TimePoint(t), &u).unwrap();
-                if t == 1 {
-                    assert_eq!(r, h, "{par:?}: all healthy before the panic");
-                } else {
-                    assert_eq!(r.len(), 2, "{par:?}: victim dropped at t={t}");
-                    assert_eq!(r[0], h[0]);
-                    assert_eq!(r[1], h[2]);
-                }
-            }
-            let q = set.quarantined();
-            assert_eq!(q.len(), 1, "{par:?}");
-            assert!(q[0].1.contains("injected engine panic"), "{}", q[0].1);
-        }
-    }
-
     #[test]
     fn apply_batch_matches_line_at_a_time() {
         let cat = catalog();
-        for (sharding, options) in [
-            (false, EncodingOptions::default()),
-            (
-                true,
-                EncodingOptions {
-                    vectorize: true,
-                    ..Default::default()
-                },
-            ),
+        for options in [
+            EncodingOptions::default(),
+            EncodingOptions {
+                vectorize: true,
+                ..Default::default()
+            },
         ] {
             let mut lined = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-            let mut batched = ConstraintSet::with_options(constraints(), Arc::clone(&cat), options)
-                .unwrap()
-                .with_sharding(sharding);
+            let mut batched =
+                ConstraintSet::with_options(constraints(), Arc::clone(&cat), options).unwrap();
             let lines: Vec<(TimePoint, Update)> =
                 (1..40u64).map(|t| (TimePoint(t), updates(t))).collect();
             let mut expected = Vec::new();
@@ -1344,8 +1092,8 @@ mod tests {
             for chunk in lines.chunks(7) {
                 got.extend(batched.apply_batch(chunk, &mut obs).unwrap());
             }
-            assert_eq!(got, expected, "sharding={sharding}");
-            assert_eq!(lined.space(), batched.space(), "sharding={sharding}");
+            assert_eq!(got, expected, "{options:?}");
+            assert_eq!(lined.space(), batched.space(), "{options:?}");
             let ingests: Vec<(usize, usize)> = obs
                 .events
                 .iter()
@@ -1379,37 +1127,5 @@ mod tests {
         );
         // The set remains usable afterwards.
         assert_eq!(set.step(TimePoint(3), &Update::new()).unwrap().len(), 3);
-    }
-
-    #[test]
-    fn sample_space_adds_shard_samples_for_sharded_constraints() {
-        let mut set = ConstraintSet::new(constraints(), catalog())
-            .unwrap()
-            .with_sharding(true);
-        set.step(TimePoint(1), &Update::new().with_insert("p", tuple!["a"]))
-            .unwrap();
-        let mut obs = CollectingObserver::default();
-        set.sample_space(0, &mut obs);
-        let kinds: Vec<&str> = obs.events.iter().map(StepEvent::kind).collect();
-        assert_eq!(
-            kinds,
-            vec![
-                "space_sample",
-                "shard_sample",
-                "space_sample",
-                "shard_sample",
-                "space_sample",
-                "shard_sample",
-            ]
-        );
-        let live: Vec<usize> = obs
-            .events
-            .iter()
-            .filter_map(|e| match e {
-                StepEvent::ShardSample { stats, .. } => Some(stats.live),
-                _ => None,
-            })
-            .collect();
-        assert_eq!(live, vec![1, 1, 1], "one shard per constraint for key `a`");
     }
 }

@@ -40,12 +40,6 @@ pub enum Mode {
     /// Kill the fleet at a seed-derived step, checkpoint, restore into a
     /// fresh process image, and stitch the two report halves together.
     Stitch,
-    /// [`ConstraintSet`] with the entity-key sharded data plane on, a
-    /// seed-derived eviction horizon, and the same seed-derived
-    /// kill+resume stitch as [`Mode::Stitch`] — but through the
-    /// per-shard checkpoint sections, so resume rematerializes exactly
-    /// the live shards. Sharded must be byte-identical to everything.
-    FleetSharded,
     /// The incremental checker on the columnar (vectorized) evaluation
     /// path (`EncodingOptions::vectorize`) — block-backed joins and
     /// projections diffed against the interpreting reference.
@@ -55,17 +49,17 @@ pub enum Mode {
     /// sizes — one run pins both columnar execution and batched
     /// ingestion against the line-at-a-time scalar reference.
     SetVectorizedBatched,
-    /// [`Mode::FleetSharded`]'s kill+resume stitch with the vectorized
-    /// path on across both halves: per-shard checkpoints written by a
-    /// columnar fleet must restore into a columnar fleet byte-for-byte.
-    FleetShardedVectorized,
+    /// [`Mode::Stitch`] with the vectorized path on across both halves:
+    /// checkpoints written by a columnar fleet must restore into a
+    /// columnar fleet byte-for-byte.
+    StitchVectorized,
 }
 
 impl Mode {
     /// Every mode, reference first. The naive checker re-evaluates the
     /// full stored history through the interpreting evaluator and is the
     /// semantics-defining baseline all other modes are diffed against.
-    pub const ALL: [Mode; 13] = [
+    pub const ALL: [Mode; 12] = [
         Mode::Single(BackendId::Naive),
         Mode::Single(BackendId::Incremental),
         Mode::Single(BackendId::Windowed),
@@ -75,10 +69,9 @@ impl Mode {
         Mode::SetSequential,
         Mode::SetParallel,
         Mode::Stitch,
-        Mode::FleetSharded,
         Mode::IncrementalVectorized,
         Mode::SetVectorizedBatched,
-        Mode::FleetShardedVectorized,
+        Mode::StitchVectorized,
     ];
 
     /// The mode's `--backends` flag name.
@@ -90,10 +83,9 @@ impl Mode {
             Mode::SetSequential => "set",
             Mode::SetParallel => "set-par",
             Mode::Stitch => "stitch",
-            Mode::FleetSharded => "fleet-sharded",
             Mode::IncrementalVectorized => "inc-vec",
             Mode::SetVectorizedBatched => "set-vec",
-            Mode::FleetShardedVectorized => "fleet-sharded-vec",
+            Mode::StitchVectorized => "stitch-vec",
         }
     }
 
@@ -155,8 +147,7 @@ pub fn run_constraint(
         }
         Mode::SetSequential => run_set(constraint, catalog, transitions, Parallelism::Sequential),
         Mode::SetParallel => run_set(constraint, catalog, transitions, Parallelism::Auto),
-        Mode::Stitch => run_stitch(constraint, catalog, transitions, seed),
-        Mode::FleetSharded => run_fleet_sharded(
+        Mode::Stitch => run_stitch(
             constraint,
             catalog,
             transitions,
@@ -175,7 +166,7 @@ pub fn run_constraint(
             run_single(Box::new(checker), transitions)
         }
         Mode::SetVectorizedBatched => run_set_batched(constraint, catalog, transitions, seed),
-        Mode::FleetShardedVectorized => run_fleet_sharded(
+        Mode::StitchVectorized => run_stitch(
             constraint,
             catalog,
             transitions,
@@ -288,9 +279,10 @@ fn run_stitch(
     catalog: &Arc<Catalog>,
     transitions: &[Transition],
     seed: u64,
+    options: EncodingOptions,
 ) -> Result<Vec<String>, String> {
     let kill = stitch_kill_step(seed, transitions.len());
-    let mut set = ConstraintSet::new([constraint.clone()], Arc::clone(catalog))
+    let mut set = ConstraintSet::with_options([constraint.clone()], Arc::clone(catalog), options)
         .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
     let mut lines = Vec::with_capacity(transitions.len());
     for t in &transitions[..kill] {
@@ -304,52 +296,13 @@ fn run_stitch(
         .map(|(_, text)| text)
         .collect();
     drop(set);
-    let mut resumed = checkpoint::restore_set([constraint.clone()], Arc::clone(catalog), &sections)
-        .map_err(|e| format!("restore: {e}"))?;
-    for t in &transitions[kill..] {
-        let reports = resumed.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
-    Ok(lines)
-}
-
-/// [`Mode::FleetSharded`]: the sharded data plane under the harshest
-/// composition — a seed-derived eviction horizon (1..=4 steps, tight
-/// enough to churn shards on most histories) and a kill+resume stitch at
-/// a seed-derived step, restored through the per-shard checkpoint
-/// sections with sharding re-enabled.
-fn run_fleet_sharded(
-    constraint: &Constraint,
-    catalog: &Arc<Catalog>,
-    transitions: &[Transition],
-    seed: u64,
-    options: EncodingOptions,
-) -> Result<Vec<String>, String> {
-    let kill = stitch_kill_step(derive_seed(seed, 0x5A4D), transitions.len());
-    let horizon = 1 + (derive_seed(seed, 0xE71C) % 4) as u32;
-    let mut set = ConstraintSet::with_options([constraint.clone()], Arc::clone(catalog), options)
-        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-        .with_sharding(true);
-    set.set_shard_eviction(horizon);
-    let mut lines = Vec::with_capacity(transitions.len());
-    for t in &transitions[..kill] {
-        let reports = set.step(t.time, &t.update).map_err(|e| e.to_string())?;
-        lines.extend(reports.iter().map(|r| r.to_string()));
-    }
-    let sections: Vec<String> = checkpoint::save_set(&set)
-        .into_iter()
-        .map(|(_, text)| text)
-        .collect();
-    drop(set);
-    let mut resumed = checkpoint::restore_set_sharded(
+    let mut resumed = checkpoint::restore_set_with_options(
         [constraint.clone()],
         Arc::clone(catalog),
         options,
         &sections,
-        true,
     )
-    .map_err(|e| format!("sharded restore: {e}"))?;
-    resumed.set_shard_eviction(horizon);
+    .map_err(|e| format!("restore: {e}"))?;
     for t in &transitions[kill..] {
         let reports = resumed.step(t.time, &t.update).map_err(|e| e.to_string())?;
         lines.extend(reports.iter().map(|r| r.to_string()));

@@ -92,10 +92,6 @@ pub struct ServeConfig {
     pub policy: CheckpointPolicy,
     /// Restore from the newest intact rotation entry on boot.
     pub resume: bool,
-    /// Entity-key sharded data plane for the fleet.
-    pub sharding: bool,
-    /// Idle-shard eviction horizon (requires `sharding`).
-    pub shard_evict: Option<u32>,
     /// Fleet worker threads.
     pub parallelism: Option<Parallelism>,
     /// Micro-batch bound: after popping a job the engine drains up to
@@ -128,8 +124,6 @@ impl ServeConfig {
             checkpoint_keep: 3,
             policy: CheckpointPolicy::default(),
             resume: false,
-            sharding: false,
-            shard_evict: None,
             parallelism: None,
             batch: 1,
             vectorize: false,
@@ -370,8 +364,6 @@ pub fn serve(
         checkpoint_keep,
         policy,
         resume,
-        sharding,
-        shard_evict,
         parallelism,
         batch,
         vectorize,
@@ -428,12 +420,11 @@ pub fn serve(
                         format!("cannot resume from `{}`: {e}", found_path.display())
                     })?;
                 }
-                let set = checkpoint::restore_set_sharded(
+                let set = checkpoint::restore_set_with_options(
                     constraints.iter().cloned(),
                     Arc::clone(&catalog),
                     options,
                     &engine_sections,
-                    sharding,
                 )
                 .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
                 for section in &engine_sections {
@@ -450,9 +441,7 @@ pub fn serve(
                 restored_banner = Some((found_path, format, set.last_time()));
                 set
             }
-            None if outcome.rejected.is_empty() => {
-                fresh_set(&constraints, &catalog, options, sharding)?
-            }
+            None if outcome.rejected.is_empty() => fresh_set(&constraints, &catalog, options)?,
             None => {
                 return Err(
                     "cannot resume: every checkpoint candidate in the rotation set \
@@ -462,11 +451,8 @@ pub fn serve(
             }
         }
     } else {
-        fresh_set(&constraints, &catalog, options, sharding)?
+        fresh_set(&constraints, &catalog, options)?
     };
-    if let Some(horizon) = shard_evict {
-        set.set_shard_eviction(horizon);
-    }
     if let Some(par) = parallelism {
         set = set.with_parallelism(par);
     }
@@ -557,13 +543,9 @@ fn fresh_set(
     constraints: &[Constraint],
     catalog: &Arc<Catalog>,
     options: EncodingOptions,
-    sharding: bool,
 ) -> Result<ConstraintSet, String> {
-    Ok(
-        ConstraintSet::with_options(constraints.iter().cloned(), Arc::clone(catalog), options)
-            .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-            .with_sharding(sharding),
-    )
+    ConstraintSet::with_options(constraints.iter().cloned(), Arc::clone(catalog), options)
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))
 }
 
 fn accept_loop(listener: Listener, shared: Arc<Shared>, write_timeout: Duration) {

@@ -19,8 +19,6 @@ pub enum Backend {
     Sequential,
     /// One `ConstraintSet`, worker-pool dispatch (`Parallelism::Auto`).
     Parallel,
-    /// One `ConstraintSet` with the entity-key sharded data plane.
-    Sharded,
     /// A live `rtic serve` daemon driven over a unix socket (soak mode);
     /// every sample is additionally cross-checked byte-for-byte against
     /// the sequential batch run of the same history.
@@ -29,19 +27,13 @@ pub enum Backend {
 
 impl Backend {
     /// All batch + soak backends, in registry order.
-    pub const ALL: [Backend; 4] = [
-        Backend::Sequential,
-        Backend::Parallel,
-        Backend::Sharded,
-        Backend::Soak,
-    ];
+    pub const ALL: [Backend; 3] = [Backend::Sequential, Backend::Parallel, Backend::Soak];
 
     /// CLI-facing name.
     pub fn as_str(&self) -> &'static str {
         match self {
             Backend::Sequential => "sequential",
             Backend::Parallel => "parallel",
-            Backend::Sharded => "fleet-sharded",
             Backend::Soak => "soak-serve",
         }
     }
@@ -51,10 +43,9 @@ impl Backend {
         match name {
             "sequential" | "set" => Ok(Backend::Sequential),
             "parallel" | "set-parallel" => Ok(Backend::Parallel),
-            "fleet-sharded" | "sharded" => Ok(Backend::Sharded),
             "soak-serve" | "soak" => Ok(Backend::Soak),
             other => Err(format!(
-                "unknown backend `{other}` (sequential|parallel|fleet-sharded|soak-serve)"
+                "unknown backend `{other}` (sequential|parallel|soak-serve)"
             )),
         }
     }
@@ -74,7 +65,6 @@ pub fn run_batch(gen: &Generated, backend: Backend) -> Result<Vec<String>, Strin
     match backend {
         Backend::Sequential => {}
         Backend::Parallel => set.set_parallelism(Parallelism::Auto),
-        Backend::Sharded => set.set_sharding(true),
         Backend::Soak => return Err("soak samples run through crate::soak, not run_batch".into()),
     }
     let mut lines = Vec::new();
@@ -106,7 +96,6 @@ mod tests {
         for b in Backend::ALL {
             assert_eq!(Backend::parse(b.as_str()).unwrap(), b);
         }
-        assert_eq!(Backend::parse("sharded").unwrap(), Backend::Sharded);
         assert_eq!(Backend::parse("soak").unwrap(), Backend::Soak);
         assert!(Backend::parse("naive").is_err());
     }
@@ -123,13 +112,11 @@ mod tests {
         let gen = library::find("ratelimit").unwrap().generate(&params);
         let sequential = run_batch(&gen, Backend::Sequential).unwrap();
         assert!(!sequential.is_empty(), "seed must inject violations");
-        for backend in [Backend::Parallel, Backend::Sharded] {
-            assert_eq!(
-                run_batch(&gen, backend).unwrap(),
-                sequential,
-                "{backend} diverged from sequential"
-            );
-        }
+        assert_eq!(
+            run_batch(&gen, Backend::Parallel).unwrap(),
+            sequential,
+            "parallel diverged from sequential"
+        );
     }
 
     #[test]

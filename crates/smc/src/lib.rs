@@ -12,8 +12,8 @@
 //!
 //! Three backends cross-validate the whole stack on the way:
 //!
-//! * batch backends ([`Backend::Sequential`], [`Backend::Parallel`],
-//!   [`Backend::Sharded`]) step a `ConstraintSet` in-process;
+//! * batch backends ([`Backend::Sequential`], [`Backend::Parallel`]) step
+//!   a `ConstraintSet` in-process;
 //! * the soak backend ([`Backend::Soak`]) drives a live `rtic serve`
 //!   daemon per sample over a unix socket and cross-checks its drained
 //!   report byte-for-byte against the sequential batch run;
@@ -203,7 +203,6 @@ pub fn run(config: &SmcConfig, obs: &mut dyn StepObserver) -> Result<SmcReport, 
                     paths: paths.clone(),
                     resume: config.soak_resume,
                     failpoints: config.soak_failpoints.clone(),
-                    sharding: false,
                 })?;
                 // Every soak sample is cross-checked against the batch
                 // engine; a wire-protocol or resume bug becomes a visible

@@ -15,13 +15,11 @@
 //! ```
 //!
 //! `structuring` fires when an account lands more than `N` transfers
-//! inside any `W`-tick window — the classic AML smurfing rule. The
-//! `count` aggregate disqualifies entity-key sharding, so this rule runs
-//! unsharded while `screened` (keyed on `a`) shards — a realistic mixed
-//! fleet. Honest traffic is generated under the per-account budget, so a
-//! zero violation rate yields a provably quiet run; injected bursts are
-//! `N + 1` transfers on consecutive ticks, definite at the burst's last
-//! tick. Injected unscreened large transfers are definite immediately.
+//! inside any `W`-tick window — the classic AML smurfing rule. Honest
+//! traffic is generated under the per-account budget, so a zero violation
+//! rate yields a provably quiet run; injected bursts are `N + 1`
+//! transfers on consecutive ticks, definite at the burst's last tick.
+//! Injected unscreened large transfers are definite immediately.
 
 use std::collections::HashMap;
 use std::sync::Arc;

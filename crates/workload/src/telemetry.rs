@@ -15,13 +15,13 @@
 //! ```
 //!
 //! Devices churn through sessions (online for a bounded stretch, then
-//! offline), which exercises shard eviction in the sharded plane: both
-//! constraints key on `d`. Honest devices heartbeat at their online tick
-//! and every `hb_period ≤ P` ticks after, so a clean run is provably
-//! quiet. An injected silent session heartbeats only at its online tick
-//! and goes offline right after the SLA trips, so `silent` turns definite
-//! exactly once, at `online_tick + P + 1`. An injected stale delivery has
-//! no matching enqueue and trips `fresh` at its own tick.
+//! offline), so the active domain turns over during the run. Honest
+//! devices heartbeat at their online tick and every `hb_period ≤ P` ticks
+//! after, so a clean run is provably quiet. An injected silent session
+//! heartbeats only at its online tick and goes offline right after the
+//! SLA trips, so `silent` turns definite exactly once, at
+//! `online_tick + P + 1`. An injected stale delivery has no matching
+//! enqueue and trips `fresh` at its own tick.
 
 use std::sync::Arc;
 

@@ -8,7 +8,6 @@
 //! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
 //!            [--constraints FILE]... [--parallel N|auto] [--profile]
 //!            [--batch N] [--vectorize]
-//!            [--shard auto|off] [--shard-evict N]
 //!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
 //!            [--checkpoint-secs T] [--checkpoint-keep K]
 //!            [--on-bad-line strict|skip] [--bad-line-budget N]
@@ -59,7 +58,6 @@ USAGE:
   rtic check <constraints-file> <log-file> [--checker incremental|naive|windowed|active]
              [--constraints FILE]... [--parallel N|auto] [--profile]
              [--batch N] [--vectorize]
-             [--shard auto|off] [--shard-evict N]
              [--quiet] [--stats] [--explain] [--checkpoint FILE] [--resume FILE]
              [--checkpoint-every N] [--checkpoint-secs T] [--checkpoint-keep K]
              [--on-bad-line strict|skip] [--bad-line-budget N] [--failpoints SPEC]
@@ -70,15 +68,15 @@ USAGE:
   rtic generate <scenario>|--list [--steps N] [--entities N] [--events N] [--seed N]
              [--violation-rate R]
   rtic smc <scenario> [--samples auto|N] [--confidence C] [--epsilon E]
-             [--backend sequential|parallel|fleet-sharded|soak-serve]
+             [--backend sequential|parallel|soak-serve]
              [--steps N] [--entities N] [--events N] [--violation-rate R] [--seed N]
              [--min-samples N] [--oracle-every K] [--out FILE] [--metrics FILE]
              [--soak-dir DIR] [--soak-keep] [--resume] [--failpoints SPEC]
   rtic serve <constraints-file> --listen unix:PATH|tcp:HOST:PORT
              [--constraints FILE]... [--queue N] [--retry-ms MS] [--write-timeout-ms MS]
              [--checkpoint FILE] [--resume] [--checkpoint-every N] [--checkpoint-secs T]
-             [--checkpoint-keep K] [--parallel N|auto] [--shard auto|off] [--shard-evict N]
-             [--batch N] [--vectorize] [--failpoints SPEC] [--report FILE] [--metrics FILE]
+             [--checkpoint-keep K] [--parallel N|auto] [--batch N] [--vectorize]
+             [--failpoints SPEC] [--report FILE] [--metrics FILE]
   rtic send <log-file> --connect unix:PATH|tcp:HOST:PORT [--drain] [--quiet]
              [--connect-timeout-ms MS]
 
@@ -88,7 +86,7 @@ consumed streaming. `generate` writes a log (plus its constraint file as
 `# commented` header lines) to standard output; `generate --list` prints
 the scenario registry (production flavors fraud, telemetry, ratelimit,
 access plus the paper-styled originals). `--entities` scales the
-entity-key domain (scale to 1e5–1e6 to soak the sharded plane).
+entity-key domain.
 
 Statistical model checking: `rtic smc <scenario>` samples N randomized
 histories (per-sample seeds derived from `--seed`), checks each through
@@ -121,18 +119,8 @@ byte-identical to the scalar path (the differential oracle pins this).
 parsed and buffered first, then applied as one ingestion unit
 (per-line semantics preserved exactly; checkpoint ticks and space
 samples coalesce to batch boundaries). Both require the incremental
-checker and compose with `--parallel`, `--shard`, checkpoints, and
-`--resume` replay cursors.
-
-Sharding: `--shard auto` partitions each constraint's state by its
-compile-time entity key (the variable shared by every atom) and steps
-only the shards an update touches; constraints with no such key run
-unsharded alongside. Reports are byte-identical to `--shard off` (the
-default). Idle shards are evicted after `--shard-evict N` quiet steps.
-Shard counts appear under `--stats`/`--profile` and in `--metrics`
-snapshots. Requires the incremental checker; composes with `--parallel`
-and checkpoints (a checkpoint records which data plane wrote it, and
-must be resumed with the same `--shard` setting).
+checker and compose with `--parallel`, checkpoints, and `--resume`
+replay cursors.
 
 Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
 state (checksummed container, written atomically) after the run and,
@@ -203,6 +191,34 @@ pub fn run(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         Some(other) => Err(format!("unknown subcommand `{other}`; try --help")),
     }
+}
+
+/// Rejects any argument a subcommand does not accept. `args` starts
+/// with the subcommand's positional arguments; every later token must be
+/// one of `switches`, or one of `valued` followed by its value. Without
+/// this, a misspelt flag (`--checkpoint-evry 1`) would be ignored and the
+/// run would quietly do something other than what was asked.
+fn accept_flags(
+    command: &str,
+    args: &[String],
+    switches: &[&str],
+    valued: &[&str],
+) -> Result<(), String> {
+    let mut rest = args.iter().skip_while(|a| !a.starts_with("--"));
+    while let Some(arg) = rest.next() {
+        if valued.contains(&arg.as_str()) {
+            if rest.next().is_none() {
+                return Err(format!("flag {arg} needs a value"));
+            }
+        } else if !switches.contains(&arg.as_str()) {
+            return Err(if arg.starts_with("--") {
+                format!("unknown flag {arg} for `rtic {command}`; see `rtic --help`")
+            } else {
+                format!("unexpected argument `{arg}` for `rtic {command}`; see `rtic --help`")
+            });
+        }
+    }
+    Ok(())
 }
 
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
@@ -355,6 +371,35 @@ fn build_checkers(
 }
 
 fn check(args: &[String], out: &mut String) -> Result<i32, String> {
+    accept_flags(
+        "check",
+        args,
+        &[
+            "--quiet",
+            "--stats",
+            "--explain",
+            "--profile",
+            "--vectorize",
+        ],
+        &[
+            "--checker",
+            "--constraints",
+            "--parallel",
+            "--batch",
+            "--checkpoint",
+            "--resume",
+            "--checkpoint-every",
+            "--checkpoint-secs",
+            "--checkpoint-keep",
+            "--on-bad-line",
+            "--bad-line-budget",
+            "--failpoints",
+            "--metrics",
+            "--trace",
+            "--trace-format",
+            "--sample-space",
+        ],
+    )?;
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [constraints_path, log_path] = positional.as_slice() else {
         return Err("check needs <constraints-file> and <log-file>; try --help".into());
@@ -408,23 +453,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     };
     if parallelism.is_some() && backend != BackendId::Incremental {
         return Err("--parallel requires the incremental checker".into());
-    }
-    let shard_enabled = match flag_value(args, "--shard") {
-        None | Some("off") => false,
-        Some("auto") => true,
-        Some(other) => return Err(format!("bad --shard `{other}` (auto|off)")),
-    };
-    if shard_enabled && backend != BackendId::Incremental {
-        return Err("--shard requires the incremental checker".into());
-    }
-    let shard_evict: Option<u32> = flag_value(args, "--shard-evict")
-        .map(|v| v.parse().map_err(|e| format!("bad --shard-evict: {e}")))
-        .transpose()?;
-    if shard_evict.is_some() && !shard_enabled {
-        return Err("--shard-evict requires --shard auto".into());
-    }
-    if let Some(0) = shard_evict {
-        return Err("--shard-evict needs at least one step of idleness".into());
     }
     let checkpoint_keep: usize = flag_value(args, "--checkpoint-keep")
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
@@ -541,14 +569,13 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         .map(|(_, sections, _)| sections.clone())
         .unwrap_or_default();
 
-    let mut engine = if parallelism.is_some() || shard_enabled || batch_size > 1 {
+    let mut engine = if parallelism.is_some() || batch_size > 1 {
         let mut set = if let Some((found_path, sections, _)) = &resume_recovery {
-            let set = checkpoint::restore_set_sharded(
+            let set = checkpoint::restore_set_with_options(
                 file.constraints.iter().cloned(),
                 Arc::clone(&catalog),
                 options,
                 sections,
-                shard_enabled,
             )
             .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
             let mut obs = MultiObserver::new().with(&mut registry);
@@ -571,11 +598,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                 options,
             )
             .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
-            .with_sharding(shard_enabled)
         };
-        if let Some(horizon) = shard_evict {
-            set.set_shard_eviction(horizon);
-        }
         if let Some(par) = parallelism {
             set = set.with_parallelism(par);
         }
@@ -897,17 +920,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             out.push_str(&explain::render_profile(prof));
         }
     }
-    if profile || stats {
-        if let CheckEngine::Fleet(set) = &engine {
-            for (name, st) in set.shard_stats() {
-                let _ = writeln!(
-                    out,
-                    "shards[{name}]: {} live, {} created, {} evicted, peak {}",
-                    st.live, st.created, st.evicted, st.peak
-                );
-            }
-        }
-    }
     if stats {
         // Uniform across backends, read back from the registry (fed by
         // the final space sample above).
@@ -992,6 +1004,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
 }
 
 fn report_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
+    accept_flags("report", args, &[], &[])?;
     let [path] = args else {
         return Err("report needs <metrics-file>; try --help".into());
     };
@@ -1116,6 +1129,7 @@ fn flush_batch(
 }
 
 fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
+    accept_flags("explain", args, &[], &["--profile"])?;
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [path] = positional.as_slice() else {
         return Err("explain needs <constraints-file>; try --help".into());
@@ -1181,6 +1195,15 @@ fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     Ok(0)
 }
 
+/// The scenario-shape flags `generate` and `smc` share.
+const SCENARIO_FLAGS: [&str; 5] = [
+    "--steps",
+    "--entities",
+    "--events",
+    "--violation-rate",
+    "--seed",
+];
+
 /// Parses the shared scenario-shape flags over the given defaults.
 fn scenario_params(args: &[String], defaults: ScenarioParams) -> Result<ScenarioParams, String> {
     let mut p = defaults;
@@ -1215,6 +1238,7 @@ fn scenario_roster() -> String {
 }
 
 fn generate(args: &[String], out: &mut String) -> Result<i32, String> {
+    accept_flags("generate", args, &["--list"], &SCENARIO_FLAGS)?;
     let Some(kind) = args.first() else {
         return Err(format!(
             "generate needs a scenario name ({}); try --help",
@@ -1262,6 +1286,24 @@ fn generate(args: &[String], out: &mut String) -> Result<i32, String> {
 }
 
 fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
+    let smc_flags = [
+        "--samples",
+        "--confidence",
+        "--epsilon",
+        "--backend",
+        "--min-samples",
+        "--oracle-every",
+        "--out",
+        "--metrics",
+        "--soak-dir",
+        "--failpoints",
+    ];
+    accept_flags(
+        "smc",
+        args,
+        &["--soak-keep", "--resume"],
+        &[&SCENARIO_FLAGS[..], &smc_flags[..]].concat(),
+    )?;
     let Some(name) = args.first() else {
         return Err(format!(
             "smc needs a scenario name ({}); try --help",
@@ -1363,6 +1405,27 @@ fn smc_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
 }
 
 fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
+    accept_flags(
+        "serve",
+        args,
+        &["--resume", "--vectorize"],
+        &[
+            "--listen",
+            "--constraints",
+            "--queue",
+            "--retry-ms",
+            "--write-timeout-ms",
+            "--checkpoint",
+            "--checkpoint-every",
+            "--checkpoint-secs",
+            "--checkpoint-keep",
+            "--parallel",
+            "--batch",
+            "--failpoints",
+            "--report",
+            "--metrics",
+        ],
+    )?;
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [constraints_path] = positional.as_slice() else {
         return Err("serve needs <constraints-file>; try --help".into());
@@ -1416,20 +1479,6 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     if config.resume && config.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the rotation to recover from)".into());
     }
-    config.sharding = match flag_value(args, "--shard") {
-        None | Some("off") => false,
-        Some("auto") => true,
-        Some(other) => return Err(format!("bad --shard `{other}` (auto|off)")),
-    };
-    config.shard_evict = flag_value(args, "--shard-evict")
-        .map(|v| v.parse().map_err(|e| format!("bad --shard-evict: {e}")))
-        .transpose()?;
-    if config.shard_evict.is_some() && !config.sharding {
-        return Err("--shard-evict requires --shard auto".into());
-    }
-    if let Some(0) = config.shard_evict {
-        return Err("--shard-evict needs at least one step of idleness".into());
-    }
     config.parallelism = match flag_value(args, "--parallel") {
         None => None,
         Some("auto") => Some(Parallelism::Auto),
@@ -1466,6 +1515,12 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
 }
 
 fn send_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
+    accept_flags(
+        "send",
+        args,
+        &["--drain", "--quiet"],
+        &["--connect", "--connect-timeout-ms"],
+    )?;
     let positional: Vec<&String> = args.iter().take_while(|a| !a.starts_with("--")).collect();
     let [log_path] = positional.as_slice() else {
         return Err("send needs <log-file>; try --help".into());

@@ -122,16 +122,6 @@ fn kill_and_resume_is_byte_identical_parallel_fleet() {
     kill_and_resume("fleet", &["--parallel", "auto"]);
 }
 
-#[test]
-fn kill_and_resume_is_byte_identical_sharded() {
-    kill_and_resume("shard", &["--shard", "auto"]);
-}
-
-#[test]
-fn kill_and_resume_is_byte_identical_sharded_parallel() {
-    kill_and_resume("shardpar", &["--shard", "auto", "--parallel", "2"]);
-}
-
 /// Kill the run *mid-batch*: with `--batch 4` and a checkpoint every 3
 /// steps, the coalesced checkpoint lands at the first batch boundary
 /// (after line 4), lines 5–6 sit in the unflushed buffer when the abort
@@ -203,40 +193,32 @@ fn kill_and_resume_mid_batch_is_byte_identical() {
     );
 }
 
-/// A checkpoint records which data plane wrote it; resuming with the
-/// other `--shard` setting is a mismatch with an actionable message,
-/// in both directions.
+/// A checkpoint written by the removed `--shard auto` data plane (the
+/// fixture was produced by `rtic check --shard auto --checkpoint` over
+/// the first six lines of `LOG`) cannot be resumed: `--resume` fails
+/// with a message that says why and what to do, not a parse error.
 #[test]
-fn sharded_and_unsharded_checkpoints_do_not_mix_via_the_cli() {
-    for (tag, write_shard, resume_shard, hint) in [
-        ("mixa", "auto", "off", "--shard auto"),
-        ("mixb", "off", "auto", "--shard off"),
-    ] {
-        let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
-        let l = temp_file(&format!("{tag}.rticlog"), LOG);
-        let ckpt = temp_file(&format!("{tag}.ckpt"), "");
-        std::fs::remove_file(&ckpt).ok();
-        let (code, out) = run(&[
+fn legacy_sharded_checkpoint_is_rejected_via_the_cli() {
+    let c = temp_file("legacy.rtic", CONSTRAINTS);
+    let l = temp_file("legacy.rticlog", LOG);
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/legacy-sharded.ckpt");
+    for extra in [&[][..], &["--parallel", "2"][..]] {
+        let mut args = vec![
             "check",
             c.to_str().unwrap(),
             l.to_str().unwrap(),
-            "--shard",
-            write_shard,
-            "--checkpoint",
-            ckpt.to_str().unwrap(),
-        ]);
-        assert_eq!(code.unwrap(), 1, "{out}");
-        let (code, _) = run(&[
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--shard",
-            resume_shard,
             "--resume",
-            ckpt.to_str().unwrap(),
-        ]);
-        let err = code.unwrap_err();
-        assert!(err.contains(hint), "{tag}: the fix is suggested: {err}");
+            fixture.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (code, out) = run(&args);
+        let err = code.expect_err(&out);
+        assert!(
+            err.contains("removed `--shard auto` data plane") && err.contains("start a fresh run"),
+            "{extra:?}: {err}"
+        );
+        assert!(!err.contains("checkpoint line"), "not a parse error: {err}");
     }
 }
 
@@ -724,7 +706,7 @@ fn quarantine_then_resume_matches_uninterrupted_minus_quarantined() {
 /// crashed by `serve.step=abort@7` (a simulated kill -9: no reply, no
 /// cleanup, no final checkpoint); the second resumes from the newest
 /// intact periodic checkpoint, re-streams the full log, and drains.
-fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
+fn serve_kill_resume_drill(tag: &str) -> Vec<String> {
     let c = temp_file(&format!("{tag}.rtic"), CONSTRAINTS);
     let l = temp_file(&format!("{tag}.rticlog"), LOG);
     let dir = c.parent().unwrap().to_path_buf();
@@ -737,7 +719,7 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
     std::fs::remove_file(PathBuf::from(format!("{}.1", ckpt.display()))).ok();
     std::fs::remove_file(PathBuf::from(format!("{}.2", ckpt.display()))).ok();
 
-    let spawn = |resume: bool, faults: Option<&str>, extra: &[&str]| {
+    let spawn = |resume: bool, faults: Option<&str>| {
         let mut args = vec![
             "serve".to_string(),
             c.to_str().unwrap().to_string(),
@@ -757,7 +739,6 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
             args.push("--failpoints".to_string());
             args.push(spec.to_string());
         }
-        args.extend(extra.iter().map(|s| s.to_string()));
         std::thread::spawn(move || {
             let mut out = String::new();
             let code = rtic::cli::run(&args, &mut out);
@@ -781,7 +762,7 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
 
     // Incarnation 1: dies processing the 7th transition, right after
     // the periodic checkpoint that covers the first 6.
-    let server = spawn(false, Some("serve.step=abort@7"), extra);
+    let server = spawn(false, Some("serve.step=abort@7"));
     let (code, _) = stream(false);
     assert!(code.is_err(), "{tag}: the stream is cut by the crash");
     let (code, out) = server.join().unwrap();
@@ -793,7 +774,7 @@ fn serve_kill_resume_drill(tag: &str, extra: &[&str]) -> Vec<String> {
 
     // Incarnation 2: resume, re-stream the whole log (the covered
     // prefix is acked as replayed, not re-checked), drain gracefully.
-    let server = spawn(true, None, extra);
+    let server = spawn(true, None);
     let (code, send_out) = stream(true);
     code.unwrap();
     assert!(
@@ -829,7 +810,7 @@ fn serve_kill_and_resume_report_matches_batch_check() {
     assert_eq!(code.unwrap(), 1, "{batch}");
     let expected = violations(&batch);
 
-    let crashed = serve_kill_resume_drill("skr", &[]);
+    let crashed = serve_kill_resume_drill("skr");
     assert_eq!(
         crashed, expected,
         "kill -9 + resume diverges from batch check"
@@ -873,40 +854,6 @@ fn serve_kill_and_resume_report_matches_batch_check() {
         .map(str::to_string)
         .collect();
     assert_eq!(crashed, uninterrupted);
-}
-
-/// Satellite drill for the shard-eviction/resume interplay under serve:
-/// with an aggressive idle-eviction horizon, entities go quiet, their
-/// shards are evicted to phantoms, the daemon is killed and resumed —
-/// and when a quiet entity comes back (`cat`'s late confirm, `ann`'s
-/// reconfirms) the revived shard must re-materialize from its phantom
-/// byte-identically. The report must match both batch `rtic check`
-/// with the same eviction settings and an unsharded batch run.
-#[test]
-fn serve_shard_eviction_survives_kill_and_resume() {
-    let extra = &["--shard", "auto", "--shard-evict", "2"];
-
-    let c = temp_file("sev-batch.rtic", CONSTRAINTS);
-    let l = temp_file("sev-batch.rticlog", LOG);
-    let mut batch_args = vec!["check", c.to_str().unwrap(), l.to_str().unwrap()];
-    batch_args.extend_from_slice(extra);
-    let (code, batch) = run(&batch_args);
-    assert_eq!(code.unwrap(), 1, "{batch}");
-
-    let (code, unsharded) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{unsharded}");
-    assert_eq!(
-        violations(&batch),
-        violations(&unsharded),
-        "eviction itself must not change reports"
-    );
-
-    let crashed = serve_kill_resume_drill("sev", extra);
-    assert_eq!(
-        crashed,
-        violations(&batch),
-        "evicted shards revived after resume diverge"
-    );
 }
 
 /// SMC-under-kill drill: an `rtic smc --backend soak-serve` campaign

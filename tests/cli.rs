@@ -762,106 +762,53 @@ fn report_renders_p90_quantile() {
     assert!(out.contains("p99"), "{out}");
 }
 
+/// Every subcommand rejects a flag it does not know, instead of running
+/// without it. The rows include a misspelt `--checkpoint-every` (the run
+/// must not start and silently skip the periodic checkpoints) and the
+/// flags of the removed sharded data plane.
 #[test]
-fn shard_auto_matches_unsharded_output_and_reports_counts() {
-    let c = temp_file("sh.rtic", CONSTRAINTS);
-    let l = temp_file("sh.rticlog", LOG);
-    let (code, plain) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{plain}");
-    let (code, sharded) = run(&[
-        "check",
+fn unknown_flags_are_rejected_by_every_subcommand() {
+    let c = temp_file("uf.rtic", CONSTRAINTS);
+    let l = temp_file("uf.rticlog", LOG);
+    let ckpt = temp_file("uf.ckpt", "");
+    std::fs::remove_file(&ckpt).ok();
+    let (c, l, ck) = (
         c.to_str().unwrap(),
         l.to_str().unwrap(),
-        "--shard",
-        "auto",
-        "--stats",
-    ]);
-    assert_eq!(code.unwrap(), 1, "{sharded}");
-    let violations = |out: &str| -> Vec<String> {
-        out.lines()
-            .filter(|ln| ln.contains("VIOLATION"))
-            .map(str::to_string)
-            .collect()
-    };
-    assert_eq!(violations(&plain), violations(&sharded));
-    assert!(
-        sharded.contains("shards[unconfirmed]:"),
-        "--stats reports shard counts: {sharded}"
+        ckpt.to_str().unwrap(),
     );
-    assert!(sharded.contains("live"), "{sharded}");
-}
-
-#[test]
-fn shard_flag_validation() {
-    let c = temp_file("shv.rtic", CONSTRAINTS);
-    let l = temp_file("shv.rticlog", LOG);
-    let (code, _) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--shard",
-        "sideways",
-    ]);
-    assert!(code.unwrap_err().contains("auto|off"));
-    let (code, _) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--checker",
-        "naive",
-        "--shard",
-        "auto",
-    ]);
-    assert!(code.unwrap_err().contains("incremental"));
-    let (code, _) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--shard-evict",
-        "4",
-    ]);
-    assert!(code.unwrap_err().contains("--shard auto"));
-    let (code, _) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--shard",
-        "auto",
-        "--shard-evict",
-        "0",
-    ]);
-    assert!(code.unwrap_err().contains("at least one"));
-}
-
-#[test]
-fn shard_eviction_shows_up_in_metrics() {
-    let c = temp_file("she.rtic", CONSTRAINTS);
-    // ann churns in and out; with a 1-step horizon the shard is evicted
-    // once its tuples and windows drain.
-    let l = temp_file(
-        "she.rticlog",
-        "@0 +reserved(\"ann\", 17)\n@1 +confirmed(\"ann\", 17)\n@2 -reserved(\"ann\", 17) -confirmed(\"ann\", 17)\n@9\n@10\n@11\n@12\n@13\n@14\n@15\n",
-    );
-    let m = temp_file("she-metrics.json", "");
-    let (code, out) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--shard",
-        "auto",
-        "--shard-evict",
-        "1",
-        "--metrics",
-        m.to_str().unwrap(),
-        "--sample-space",
-        "1",
-        "--stats",
-    ]);
-    assert_eq!(code.unwrap(), 0, "{out}");
-    assert!(out.contains("shards[unconfirmed]:"), "{out}");
-    let metrics = std::fs::read_to_string(&m).unwrap();
-    assert!(metrics.contains("\"shards\""), "{metrics}");
-    assert!(metrics.contains("\"evicted\""), "{metrics}");
+    let sock = "unix:/nonexistent/uf.sock";
+    let rows: &[(&[&str], &str)] = &[
+        (&["check", c, l, "--bogus", "7"], "--bogus"),
+        (
+            &["check", c, l, "--checkpoint-evry", "1", "--checkpoint", ck],
+            "--checkpoint-evry",
+        ),
+        (&["check", c, l, "--shard", "auto"], "--shard"),
+        (&["check", c, l, "--shard-evict", "4"], "--shard-evict"),
+        (&["report", "m.json", "--bogus"], "--bogus"),
+        (&["explain", c, "--bogus", "7"], "--bogus"),
+        (&["generate", "fraud", "--bogus", "7"], "--bogus"),
+        (&["smc", "fraud", "--bogus", "7"], "--bogus"),
+        (&["serve", c, "--listen", sock, "--bogus", "7"], "--bogus"),
+        (
+            &["serve", c, "--listen", sock, "--shard", "auto"],
+            "--shard",
+        ),
+        (&["send", l, "--connect", sock, "--bogus"], "--bogus"),
+    ];
+    for (args, flag) in rows {
+        let (code, out) = run(args);
+        let err = code.expect_err(&format!("{args:?} must fail: {out}"));
+        assert!(
+            err.contains(&format!("unknown flag {flag} ")),
+            "{args:?}: {err}"
+        );
+    }
+    assert!(!ckpt.exists(), "the misspelt run must not start");
+    // A valued flag at the very end is missing its value, not ignored.
+    let (code, _) = run(&["check", c, l, "--checkpoint"]);
+    assert!(code.unwrap_err().contains("--checkpoint needs a value"));
 }
 
 #[test]
