@@ -40,7 +40,7 @@ impl BackendId {
     ];
 
     /// The backend's flag/report name.
-    pub fn name(self) -> &'static str {
+    pub const fn name(self) -> &'static str {
         match self {
             BackendId::Incremental => "incremental",
             BackendId::Naive => "naive",

@@ -48,8 +48,21 @@ pub(crate) enum NodeState {
     HistInf(HistInfState),
 }
 
+impl NodeState {
+    /// The node's auxiliary `(keys, timestamps)` footprint.
+    fn space(&self) -> (usize, usize) {
+        match self {
+            NodeState::Prev(p) => p.space(),
+            NodeState::Once(w) | NodeState::Since(w) => w.space(),
+            NodeState::HistFinite(h) => h.space(),
+            NodeState::HistInf(h) => h.space(),
+        }
+    }
+}
+
 /// A snapshot of one temporal node's auxiliary footprint
-/// (see [`IncrementalChecker::node_stats`]).
+/// (see [`IncrementalChecker::node_stats`] and
+/// [`crate::ConstraintSet::node_stats`]).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct NodeStat {
     /// The subformula, pretty-printed.
@@ -443,19 +456,28 @@ impl NodeEngine {
 
     /// Total auxiliary `(keys, timestamps)` across nodes.
     pub(crate) fn aux_space(&self) -> (usize, usize) {
-        let mut keys = 0;
-        let mut stamps = 0;
-        for s in &self.states {
-            let (k, t) = match s {
-                NodeState::Prev(p) => p.space(),
-                NodeState::Once(w) | NodeState::Since(w) => w.space(),
-                NodeState::HistFinite(h) => h.space(),
-                NodeState::HistInf(h) => h.space(),
-            };
-            keys += k;
-            stamps += t;
-        }
-        (keys, stamps)
+        self.states
+            .iter()
+            .map(NodeState::space)
+            .fold((0, 0), |(keys, stamps), (k, t)| (keys + k, stamps + t))
+    }
+
+    /// Per-temporal-node observability: what each auxiliary structure is
+    /// holding right now. Ordered children-first (the update order).
+    pub(crate) fn node_stats(&self) -> Vec<NodeStat> {
+        self.compiled
+            .nodes
+            .iter()
+            .zip(&self.states)
+            .map(|(node, state)| {
+                let (keys, timestamps) = state.space();
+                NodeStat {
+                    formula: node.to_string(),
+                    keys,
+                    timestamps,
+                }
+            })
+            .collect()
     }
 }
 
@@ -528,25 +550,7 @@ impl IncrementalChecker {
     /// Per-temporal-node observability: what each auxiliary structure is
     /// holding right now. Ordered children-first (the update order).
     pub fn node_stats(&self) -> Vec<NodeStat> {
-        self.engine
-            .compiled
-            .nodes
-            .iter()
-            .zip(&self.engine.states)
-            .map(|(node, state)| {
-                let (keys, timestamps) = match state {
-                    NodeState::Prev(p) => p.space(),
-                    NodeState::Once(w) | NodeState::Since(w) => w.space(),
-                    NodeState::HistFinite(h) => h.space(),
-                    NodeState::HistInf(h) => h.space(),
-                };
-                NodeStat {
-                    formula: node.to_string(),
-                    keys,
-                    timestamps,
-                }
-            })
-            .collect()
+        self.engine.node_stats()
     }
 
     pub(crate) fn parts_mut(&mut self) -> (&mut Database, &mut NodeEngine, &mut usize) {

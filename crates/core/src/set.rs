@@ -55,11 +55,17 @@ use rtic_history::HistoryError;
 use rtic_relation::{Catalog, Database, Symbol, Update};
 use rtic_temporal::{Constraint, TimePoint};
 
+use crate::backend::BackendId;
 use crate::compile::CompiledConstraint;
 use crate::error::CompileError;
-use crate::incremental::{EncodingOptions, NodeEngine};
+use crate::incremental::{EncodingOptions, NodeEngine, NodeStat};
 use crate::observe::{NopObserver, StepEvent, StepObserver};
 use crate::report::{SpaceStats, StepReport};
+
+/// The `checker` label on every event a set emits: it runs the
+/// incremental backend's engines, so its metrics, traces and `--stats`
+/// rows read the same as a single [`crate::IncrementalChecker`]'s.
+const LABEL: &str = BackendId::Incremental.name();
 
 /// Worker budget for the full-evaluation phase of [`ConstraintSet::step`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -387,7 +393,7 @@ impl ConstraintSet {
             }
         }
         obs.observe(&StepEvent::StepStart {
-            checker: "set",
+            checker: LABEL,
             time,
             tuples: update.len(),
         });
@@ -528,7 +534,7 @@ impl ConstraintSet {
         for (idx, slot) in slots.iter_mut().enumerate() {
             if let Some((_, detail)) = panicked.iter().find(|(p, _)| *p == idx) {
                 obs.observe(&StepEvent::ConstraintQuarantined {
-                    checker: "set",
+                    checker: LABEL,
                     constraint: self.engines[idx].compiled.constraint.name,
                     time,
                     detail: detail.clone(),
@@ -544,7 +550,7 @@ impl ConstraintSet {
             };
             total_violations += report.violation_count();
             obs.observe(&StepEvent::ConstraintEval {
-                checker: "set",
+                checker: LABEL,
                 constraint: report.constraint,
                 time,
                 violations: report.violation_count(),
@@ -552,14 +558,14 @@ impl ConstraintSet {
             });
             if !report.ok() {
                 obs.observe(&StepEvent::Violation {
-                    checker: "set",
+                    checker: LABEL,
                     report: &report,
                 });
             }
             reports.push(report);
         }
         obs.observe(&StepEvent::StepEnd {
-            checker: "set",
+            checker: LABEL,
             time,
             violations: total_violations,
             latency_ns: step_start.elapsed().as_nanos() as u64,
@@ -610,10 +616,9 @@ impl ConstraintSet {
     /// their sampling schedule). Samples carry each constraint's own aux
     /// footprint; the shared database tuples are attributed to every
     /// sample, mirroring what a per-constraint checker would report.
+    /// Before the first step the samples are stamped at time 0.
     pub fn sample_space(&self, step_index: u64, obs: &mut dyn StepObserver) {
-        let Some(time) = self.last_time else {
-            return;
-        };
+        let time = self.last_time.unwrap_or(TimePoint(0));
         for (engine, quarantined) in self.engines.iter().zip(&self.quarantined) {
             if quarantined.is_some() {
                 // A quarantined engine's aux state froze mid-panic; its
@@ -622,7 +627,7 @@ impl ConstraintSet {
             }
             let (aux_keys, aux_timestamps) = engine.aux_space();
             obs.observe(&StepEvent::SpaceSample {
-                checker: "set",
+                checker: LABEL,
                 constraint: engine.compiled.constraint.name,
                 time,
                 step_index,
@@ -634,20 +639,6 @@ impl ConstraintSet {
                 },
             });
         }
-    }
-
-    /// [`ConstraintSet::step`] with one worker per core for this call,
-    /// regardless of the configured [`Parallelism`].
-    pub fn step_parallel(
-        &mut self,
-        time: TimePoint,
-        update: &Update,
-    ) -> Result<Vec<StepReport>, HistoryError> {
-        let configured = self.parallelism;
-        self.parallelism = Parallelism::Auto;
-        let result = self.step(time, update);
-        self.parallelism = configured;
-        result
     }
 
     /// Aggregate space: the single shared state plus every engine's aux.
@@ -665,6 +656,16 @@ impl ConstraintSet {
             stored_states: 1,
             stored_tuples: self.db.total_tuples(),
         }
+    }
+
+    /// Per-temporal-node footprint of `constraint`'s engine (see
+    /// [`crate::IncrementalChecker::node_stats`]); `None` if no such
+    /// constraint is in the set.
+    pub fn node_stats(&self, constraint: &str) -> Option<Vec<NodeStat>> {
+        self.engines
+            .iter()
+            .find(|e| e.compiled.constraint.name.as_str() == constraint)
+            .map(NodeEngine::node_stats)
     }
 
     /// Aggregate compiled-plan statistics across every engine: plan shape
@@ -685,7 +686,7 @@ impl ConstraintSet {
     pub fn sample_plan_stats(&self, obs: &mut dyn StepObserver) {
         for e in &self.engines {
             obs.observe(&StepEvent::PlanStatsSample {
-                checker: "set",
+                checker: LABEL,
                 constraint: e.compiled.constraint.name,
                 stats: crate::plan::RuntimePlanStats {
                     plan: e.compiled.plans.stats(),
@@ -710,7 +711,7 @@ impl ConstraintSet {
         for e in &self.engines {
             if let Some(profile) = e.plan_profile() {
                 obs.observe(&StepEvent::PlanProfileSample {
-                    checker: "set",
+                    checker: LABEL,
                     constraint: e.compiled.constraint.name,
                     profile: &profile,
                 });
@@ -771,6 +772,11 @@ mod tests {
                 assert_eq!(set_reports[i], r, "constraint {i} diverged at {t}");
             }
         }
+        for single in &singles {
+            let name = single.constraint().name;
+            assert_eq!(set.node_stats(name.as_str()), Some(single.node_stats()));
+        }
+        assert_eq!(set.node_stats("no_such_constraint"), None);
     }
 
     #[test]
@@ -787,7 +793,6 @@ mod tests {
     #[test]
     fn parallel_step_matches_sequential() {
         let cat = catalog();
-        let mut seq = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
         for workers in [2usize, 3, 8] {
             let mut par = ConstraintSet::new(constraints(), Arc::clone(&cat))
                 .unwrap()
@@ -807,14 +812,6 @@ mod tests {
                 assert_eq!(a, b, "parallelism {workers} diverged at {t}");
             }
             assert_eq!(seq2.space(), par.space());
-        }
-        // The legacy entry point still matches too.
-        let mut legacy = ConstraintSet::new(constraints(), Arc::clone(&cat)).unwrap();
-        for t in 1..10u64 {
-            let u = updates(t);
-            let a = seq.step(TimePoint(t), &u).unwrap();
-            let b = legacy.step_parallel(TimePoint(t), &u).unwrap();
-            assert_eq!(a, b);
         }
     }
 

@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! rtic check <constraints.rtic> <log.rticlog> [--checker NAME] [--quiet] [--stats] [--explain]
-//!            [--constraints FILE]... [--parallel N|auto] [--profile]
-//!            [--batch N] [--vectorize]
+//!            [--constraints FILE]... [--parallel N|auto] [--profile] [--vectorize]
 //!            [--checkpoint FILE] [--resume FILE] [--checkpoint-every N]
 //!            [--checkpoint-secs T] [--checkpoint-keep K]
 //!            [--on-bad-line strict|skip] [--bad-line-budget N]
@@ -34,10 +33,10 @@ use std::time::Duration;
 use rtic_active::ActiveChecker;
 use rtic_core::observe;
 use rtic_core::{checkpoint, explain, BackendId, Checker, CompiledConstraint, EncodingOptions};
-use rtic_core::{ConstraintSet, IncrementalChecker, NaiveChecker, Parallelism, WindowedChecker};
-use rtic_core::{StepEvent, StepObserver};
+use rtic_core::{ConstraintSet, NaiveChecker, Parallelism, WindowedChecker};
+use rtic_core::{PlanProfile, StepEvent, StepObserver, StepReport};
 use rtic_history::log::{format_log, LogErrorKind, LogReader};
-use rtic_history::Transition;
+use rtic_history::{HistoryError, Transition};
 use rtic_obs::{
     json, report, ChromeTraceWriter, MetricsRegistry, MultiObserver, SpaceSampler, TraceWriter,
 };
@@ -56,8 +55,7 @@ rtic — real-time integrity constraints (Chomicki, PODS 1992)
 
 USAGE:
   rtic check <constraints-file> <log-file> [--checker incremental|naive|windowed|active]
-             [--constraints FILE]... [--parallel N|auto] [--profile]
-             [--batch N] [--vectorize]
+             [--constraints FILE]... [--parallel N|auto] [--profile] [--vectorize]
              [--quiet] [--stats] [--explain] [--checkpoint FILE] [--resume FILE]
              [--checkpoint-every N] [--checkpoint-secs T] [--checkpoint-keep K]
              [--on-bad-line strict|skip] [--bad-line-budget N] [--failpoints SPEC]
@@ -103,34 +101,30 @@ cross-check mismatch exits 1. `--soak-dir` + `--soak-keep` + `--resume` +
 
 Multi-constraint fleets: `--constraints FILE` (repeatable) merges more
 constraint files into the run — relation declarations shared between
-files must agree exactly, constraint names must be unique. `--parallel N`
-(or `auto`) checks the whole fleet as one shared-state constraint set
-with relevance dispatch, evaluating affected constraints on up to N
-worker threads; reports and telemetry are identical to the sequential
-run. Requires the incremental checker. A constraint engine that panics
-mid-step is quarantined — it stops reporting while the rest of the fleet
-keeps checking — and is listed in the summary and `--stats`.
+files must agree exactly, constraint names must be unique. The
+incremental checker always checks the whole fleet as one shared-state
+constraint set with relevance dispatch. `--parallel N` (or `auto`) is
+its worker count: affected constraints are evaluated on up to N worker
+threads, with reports and telemetry identical at every count. A
+constraint engine that panics mid-step is quarantined — it stops
+reporting while the rest of the fleet keeps checking — and is listed in
+the summary and `--stats`.
 
 Columnar execution: `--vectorize` switches the incremental engine onto
 the block-backed evaluation path — column-sliced hash joins, columnar
 projections, and per-relation memo generations — with reports
 byte-identical to the scalar path (the differential oracle pins this).
-`--batch N` ingests the log in micro-batches of N lines: each batch is
-parsed and buffered first, then applied as one ingestion unit
-(per-line semantics preserved exactly; checkpoint ticks and space
-samples coalesce to batch boundaries). Both require the incremental
-checker and compose with `--parallel`, checkpoints, and `--resume`
-replay cursors.
+It composes with `--parallel`, checkpoints, and `--resume`. (`--batch
+N` is a `serve` option; `check` reads its log one line at a time.)
 
-Checkpoints: `--checkpoint FILE` durably saves the checkers' bounded
+Checkpoints: `--checkpoint FILE` durably saves the constraint set's bounded
 state (checksummed container, written atomically) after the run and,
 with `--checkpoint-every N` steps and/or `--checkpoint-secs T`, during
 it. Writes rotate through FILE, FILE.1, … (`--checkpoint-keep K`,
 default 3). `--resume FILE` restores before the run, falling back to the
 newest intact rotation entry if a candidate is corrupt, and skips log
 lines at or before the checkpoint cursor, so a log can be checked in
-consecutive segments. Works with `--parallel` fleets (incremental
-checker only).
+consecutive segments. Incremental checker only.
 
 Bad input: `--on-bad-line skip` skips malformed log lines (up to
 `--bad-line-budget N`, default 100) instead of aborting; skipped lines
@@ -166,8 +160,7 @@ deferred past the batch checkpoint so checkpoint-before-ack still holds.
 streams a log to a serving daemon with backoff+jitter retries, printing
 violations as they come.
 
-Profiling: `--profile` (incremental checker, with or without
-`--parallel`) turns on per-plan-node counters — inclusive wall time,
+Profiling: `--profile` (incremental checker) turns on per-plan-node counters — inclusive wall time,
 cardinalities, memo-cache hits — and prints an EXPLAIN-ANALYZE-style
 table per constraint after the run; the profile also lands in
 `--metrics` snapshots and traces. `rtic explain FILE --profile LOG`
@@ -221,6 +214,19 @@ fn accept_flags(
     Ok(())
 }
 
+/// The worker count `--parallel N|auto` asks for, if given.
+fn parse_parallelism(args: &[String]) -> Result<Option<Parallelism>, String> {
+    match flag_value(args, "--parallel") {
+        None => Ok(None),
+        Some("auto") => Ok(Some(Parallelism::Auto)),
+        Some(n) => match n.parse() {
+            Ok(0) => Err("--parallel needs at least one worker (or `auto`)".into()),
+            Ok(n) => Ok(Some(Parallelism::N(n))),
+            Err(e) => Err(format!("bad --parallel `{n}`: {e}")),
+        },
+    }
+}
+
 fn flag_value<'a>(args: &'a [String], name: &str) -> Option<&'a str> {
     args.iter()
         .position(|a| a == name)
@@ -270,13 +276,60 @@ fn load_merged_constraints(primary: &str, extras: &[&str]) -> Result<ConstraintF
     Ok(file)
 }
 
-/// The two evaluation engines behind `rtic check`: one independent
-/// checker per constraint (any backend), or a shared-state
-/// [`ConstraintSet`] fleet with relevance dispatch and optional worker
-/// threads (`--parallel`).
+/// The engines behind `rtic check`: the incremental checker always runs
+/// as one shared-database [`ConstraintSet`] (relevance dispatch, and
+/// worker threads with `--parallel`); the reference backends
+/// (`--checker naive|windowed|active`) run one checker per constraint.
 enum CheckEngine {
-    Independent(Vec<Box<dyn Checker>>),
     Fleet(Box<ConstraintSet>),
+    Reference(Vec<Box<dyn Checker>>),
+}
+
+impl CheckEngine {
+    fn len(&self) -> usize {
+        match self {
+            CheckEngine::Fleet(set) => set.len(),
+            CheckEngine::Reference(checkers) => checkers.len(),
+        }
+    }
+
+    fn step(
+        &mut self,
+        time: TimePoint,
+        update: &Update,
+        obs: &mut dyn StepObserver,
+    ) -> Result<Vec<StepReport>, HistoryError> {
+        match self {
+            CheckEngine::Fleet(set) => set.step_observed(time, update, obs),
+            CheckEngine::Reference(checkers) => observe::step_all(checkers, time, update, obs),
+        }
+    }
+
+    /// One `SpaceSample` per constraint; `time` stamps the reference
+    /// checkers' samples (the set stamps its own last step).
+    fn sample_space(&self, time: TimePoint, step_index: u64, obs: &mut dyn StepObserver) {
+        match self {
+            CheckEngine::Fleet(set) => set.sample_space(step_index, obs),
+            CheckEngine::Reference(checkers) => {
+                observe::sample_space(checkers, time, step_index, obs)
+            }
+        }
+    }
+
+    /// The end-of-run readings: space, plan statistics, plan profiles.
+    fn sample_run_end(&self, time: TimePoint, steps: u64, obs: &mut dyn StepObserver) {
+        self.sample_space(time, steps, obs);
+        match self {
+            CheckEngine::Fleet(set) => {
+                set.sample_plan_stats(obs);
+                set.sample_plan_profiles(obs);
+            }
+            CheckEngine::Reference(checkers) => {
+                observe::sample_plan_stats(checkers, obs);
+                observe::sample_plan_profiles(checkers, obs);
+            }
+        }
+    }
 }
 
 /// The trace writer behind `--trace`, in the format `--trace-format`
@@ -311,17 +364,26 @@ impl StepObserver for AnyTrace {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn build_checkers(
+/// The run's observers: the metrics registry, plus the `--trace` writer
+/// when one is open.
+fn observers<'a>(
+    registry: &'a mut MetricsRegistry,
+    trace: &'a mut Option<AnyTrace>,
+) -> MultiObserver<'a> {
+    let mut obs = MultiObserver::new().with(registry);
+    if let Some(t) = trace.as_mut() {
+        obs.push(t);
+    }
+    obs
+}
+
+/// One reference checker per constraint, for `--checker
+/// naive|windowed|active`.
+fn reference_checkers(
     file: &ConstraintFile,
     catalog: &Arc<Catalog>,
     backend: BackendId,
-    options: EncodingOptions,
     show_explain: bool,
-    resume_path: Option<&str>,
-    resume_sections: &[String],
-    registry: &mut MetricsRegistry,
-    trace: &mut Option<AnyTrace>,
     out: &mut String,
 ) -> Result<Vec<Box<dyn Checker>>, String> {
     let mut checkers: Vec<Box<dyn Checker>> = Vec::new();
@@ -332,39 +394,12 @@ fn build_checkers(
             let _ = writeln!(out, "{}", explain::explain(&compiled));
         }
         checkers.push(match backend {
-            BackendId::Incremental => {
-                let section = resume_sections
-                    .iter()
-                    .find(|s| s.lines().any(|l| l == format!("constraint {}", c.name)));
-                match (resume_path, section) {
-                    (Some(path), None) => {
-                        return Err(format!(
-                            "checkpoint `{path}` has no section for constraint `{}`",
-                            c.name
-                        ))
-                    }
-                    (Some(_), Some(section)) => {
-                        let mut obs = MultiObserver::new().with(registry);
-                        if let Some(t) = trace.as_mut() {
-                            obs.push(t);
-                        }
-                        Box::new(
-                            checkpoint::restore_observed(
-                                c.clone(),
-                                Arc::clone(catalog),
-                                options,
-                                section,
-                                &mut obs,
-                            )
-                            .map_err(|e| e.to_string())?,
-                        )
-                    }
-                    (None, _) => Box::new(IncrementalChecker::from_compiled(compiled, options)),
-                }
-            }
             BackendId::Naive => Box::new(NaiveChecker::from_compiled(compiled)),
             BackendId::Windowed => Box::new(WindowedChecker::from_compiled(compiled)),
             BackendId::Active => Box::new(ActiveChecker::from_compiled(compiled)),
+            BackendId::Incremental => {
+                unreachable!("the incremental checker runs as a ConstraintSet")
+            }
         });
     }
     Ok(checkers)
@@ -385,7 +420,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             "--checker",
             "--constraints",
             "--parallel",
-            "--batch",
             "--checkpoint",
             "--resume",
             "--checkpoint-every",
@@ -418,16 +452,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if vectorize && backend != BackendId::Incremental {
         return Err("--vectorize requires the incremental checker".into());
     }
-    let batch_size: usize = flag_value(args, "--batch")
-        .map(|v| v.parse().map_err(|e| format!("bad --batch: {e}")))
-        .transpose()?
-        .unwrap_or(1);
-    if batch_size == 0 {
-        return Err("--batch needs at least one line per batch".into());
-    }
-    if batch_size > 1 && backend != BackendId::Incremental {
-        return Err("--batch requires the incremental checker".into());
-    }
     let options = EncodingOptions {
         profile_plans: profile,
         vectorize,
@@ -438,22 +462,11 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     if (checkpoint_path.is_some() || resume_path.is_some()) && backend != BackendId::Incremental {
         return Err("--checkpoint/--resume require the incremental checker".into());
     }
-    let parallelism = match flag_value(args, "--parallel") {
-        None => None,
-        Some("auto") => Some(Parallelism::Auto),
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|e| format!("bad --parallel `{n}`: {e}"))?;
-            if n == 0 {
-                return Err("--parallel needs at least one worker (or `auto`)".into());
-            }
-            Some(Parallelism::N(n))
-        }
-    };
+    let parallelism = parse_parallelism(args)?;
     if parallelism.is_some() && backend != BackendId::Incremental {
         return Err("--parallel requires the incremental checker".into());
     }
+    let parallelism = parallelism.unwrap_or_default();
     let checkpoint_keep: usize = flag_value(args, "--checkpoint-keep")
         .map(|v| v.parse().map_err(|e| format!("bad --checkpoint-keep: {e}")))
         .transpose()?
@@ -535,11 +548,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         Some(path) => {
             let outcome = Rotation::new(path, checkpoint_keep).recover();
             for (cand, why) in &outcome.rejected {
-                let mut obs = MultiObserver::new().with(&mut registry);
-                if let Some(t) = trace.as_mut() {
-                    obs.push(t);
-                }
-                obs.observe(&StepEvent::CheckpointFallback {
+                observers(&mut registry, &mut trace).observe(&StepEvent::CheckpointFallback {
                     path: cand.display().to_string(),
                     detail: why.clone(),
                 });
@@ -564,13 +573,8 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         None => None,
     };
-    let resume_sections: Vec<String> = resume_recovery
-        .as_ref()
-        .map(|(_, sections, _)| sections.clone())
-        .unwrap_or_default();
-
-    let mut engine = if parallelism.is_some() || batch_size > 1 {
-        let mut set = if let Some((found_path, sections, _)) = &resume_recovery {
+    let mut engine = if backend == BackendId::Incremental {
+        let set = if let Some((found_path, sections, _)) = &resume_recovery {
             let set = checkpoint::restore_set_with_options(
                 file.constraints.iter().cloned(),
                 Arc::clone(&catalog),
@@ -578,10 +582,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                 sections,
             )
             .map_err(|e| format!("cannot resume from `{}`: {e}", found_path.display()))?;
-            let mut obs = MultiObserver::new().with(&mut registry);
-            if let Some(t) = trace.as_mut() {
-                obs.push(t);
-            }
+            let mut obs = observers(&mut registry, &mut trace);
             for section in sections {
                 if let Some(name) = section_constraint_name(section) {
                     obs.observe(&StepEvent::CheckpointRestore {
@@ -599,9 +600,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             )
             .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?
         };
-        if let Some(par) = parallelism {
-            set = set.with_parallelism(par);
-        }
+        let set = set.with_parallelism(parallelism);
         if show_explain {
             for compiled in set.compiled() {
                 let _ = writeln!(out, "{}", explain::explain(compiled));
@@ -609,27 +608,22 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         }
         CheckEngine::Fleet(Box::new(set))
     } else {
-        CheckEngine::Independent(build_checkers(
+        CheckEngine::Reference(reference_checkers(
             &file,
             &catalog,
             backend,
-            options,
             show_explain,
-            resume_path,
-            &resume_sections,
-            &mut registry,
-            &mut trace,
             out,
         )?)
     };
 
-    // Armed engine panics (failpoint `engine-panic:<constraint>`) are a
-    // fleet feature: the constraint-set step path quarantines a panicking
-    // engine instead of crashing the run.
+    // Armed engine panics (failpoint `engine-panic:<constraint>`): the
+    // constraint set quarantines a panicking engine instead of crashing
+    // the run.
     for (name, nth) in faults.engine_panics() {
         let CheckEngine::Fleet(set) = &mut engine else {
             return Err(format!(
-                "failpoint `engine-panic:{name}` requires --parallel (fleet mode)"
+                "failpoint `engine-panic:{name}` requires the incremental checker"
             ));
         };
         if !set.arm_panic(&name, nth) {
@@ -642,17 +636,9 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     // The replay cursor: transitions at or before this time were already
     // checked by the run that wrote the checkpoint, so the resumed run
     // skips them instead of double-reporting.
-    let resume_cursor: Option<TimePoint> = if resume_recovery.is_some() {
-        match &engine {
-            CheckEngine::Fleet(set) => set.last_time(),
-            CheckEngine::Independent(checkers) => checkers
-                .iter()
-                .filter_map(|ch| ch.as_any().downcast_ref::<IncrementalChecker>())
-                .filter_map(IncrementalChecker::last_time)
-                .max(),
-        }
-    } else {
-        None
+    let resume_cursor: Option<TimePoint> = match &engine {
+        CheckEngine::Fleet(set) if resume_recovery.is_some() => set.last_time(),
+        _ => None,
     };
     if let Some((found_path, _, format)) = &resume_recovery {
         match resume_cursor {
@@ -694,10 +680,6 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
     // the budget by the run that wrote the checkpoint; charging them again
     // on every resume would shrink the effective budget with each restart.
     let mut replaying = resume_cursor.is_some();
-    // Micro-batch buffer (--batch N): parsed lines wait here, with their
-    // (line, step_index) provenance, until the buffer fills.
-    let mut pending: Vec<(TimePoint, Update)> = Vec::new();
-    let mut pending_meta: Vec<(usize, u64)> = Vec::new();
     while let Some(item) = reader.next() {
         let tr: Transition = match item {
             Ok(tr) => tr,
@@ -713,11 +695,7 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
                          ({bad_lines} malformed line(s), budget {bad_line_budget})"
                     ));
                 }
-                let mut obs = MultiObserver::new().with(&mut registry);
-                if let Some(t) = trace.as_mut() {
-                    obs.push(t);
-                }
-                obs.observe(&StepEvent::BadLine {
+                observers(&mut registry, &mut trace).observe(&StepEvent::BadLine {
                     line: e.line,
                     detail: e.message.clone(),
                 });
@@ -742,59 +720,13 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         let step_index = transitions as u64;
         transitions += 1;
         last_time = Some(tr.time);
-        if batch_size > 1 {
-            pending.push((tr.time, tr.update));
-            pending_meta.push((line, step_index));
-            if pending.len() >= batch_size {
-                let ticked = {
-                    let CheckEngine::Fleet(set) = &mut engine else {
-                        return Err("--batch requires the fleet engine".into());
-                    };
-                    flush_batch(
-                        set,
-                        &mut pending,
-                        &mut pending_meta,
-                        &mut registry,
-                        &mut trace,
-                        &mut sampler,
-                        &mut ticker,
-                        checkpoint_rotation.is_some(),
-                        quiet,
-                        log_path,
-                        &mut total_violations,
-                        &mut violated_states,
-                        out,
-                    )?
-                };
-                if ticked {
-                    if let Some(rotation) = &checkpoint_rotation {
-                        write_checkpoint(&engine, rotation, &faults, &mut registry, &mut trace)?;
-                    }
-                }
-            }
-            continue;
-        }
-        let mut obs = MultiObserver::new().with(&mut registry);
-        if let Some(t) = trace.as_mut() {
-            obs.push(t);
-        }
-        let reports = match &mut engine {
-            CheckEngine::Independent(checkers) => {
-                observe::step_all(checkers, tr.time, &tr.update, &mut obs)
-            }
-            CheckEngine::Fleet(set) => set.step_observed(tr.time, &tr.update, &mut obs),
-        }
-        .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
-        match &mut engine {
-            CheckEngine::Independent(checkers) => {
-                sampler.after_step(checkers, tr.time, step_index, &mut obs);
-            }
-            CheckEngine::Fleet(set) => {
-                if sampler.due(step_index) {
-                    set.sample_space(step_index, &mut obs);
-                    sampler.note_sampled();
-                }
-            }
+        let mut obs = observers(&mut registry, &mut trace);
+        let reports = engine
+            .step(tr.time, &tr.update, &mut obs)
+            .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
+        if sampler.due(step_index) {
+            engine.sample_space(tr.time, step_index, &mut obs);
+            sampler.note_sampled();
         }
         let mut state_bad = false;
         for report in &reports {
@@ -809,33 +741,11 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         if state_bad {
             violated_states += 1;
         }
-        if let Some(rotation) = &checkpoint_rotation {
+        if let (Some(rotation), CheckEngine::Fleet(set)) = (&checkpoint_rotation, &engine) {
             if ticker.step_completed() {
-                write_checkpoint(&engine, rotation, &faults, &mut registry, &mut trace)?;
+                write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
             }
         }
-    }
-    if !pending.is_empty() {
-        // The final, possibly short batch. Its coalesced checkpoint ticks
-        // are covered by the unconditional end-of-run write below.
-        let CheckEngine::Fleet(set) = &mut engine else {
-            return Err("--batch requires the fleet engine".into());
-        };
-        flush_batch(
-            set,
-            &mut pending,
-            &mut pending_meta,
-            &mut registry,
-            &mut trace,
-            &mut sampler,
-            &mut ticker,
-            checkpoint_rotation.is_some(),
-            quiet,
-            log_path,
-            &mut total_violations,
-            &mut violated_states,
-            out,
-        )?;
     }
     if replay_skipped > 0 {
         let _ = writeln!(
@@ -850,48 +760,26 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
              (not charged against the bad-line budget)"
         );
     }
-    {
-        // Final footprint reading, so --stats and the metrics snapshot
-        // reflect end-of-run space even without --sample-space.
-        let mut obs = MultiObserver::new().with(&mut registry);
-        if let Some(t) = trace.as_mut() {
-            obs.push(t);
-        }
-        match &engine {
-            CheckEngine::Independent(checkers) => {
-                observe::sample_space(
-                    checkers,
-                    last_time.unwrap_or(rtic_temporal::TimePoint(0)),
-                    transitions as u64,
-                    &mut obs,
-                );
-                observe::sample_plan_stats(checkers, &mut obs);
-                observe::sample_plan_profiles(checkers, &mut obs);
-            }
-            CheckEngine::Fleet(set) => {
-                set.sample_space(transitions as u64, &mut obs);
-                set.sample_plan_stats(&mut obs);
-                set.sample_plan_profiles(&mut obs);
-            }
-        }
-    }
-    if let Some(rotation) = &checkpoint_rotation {
-        let bytes = write_checkpoint(&engine, rotation, &faults, &mut registry, &mut trace)?;
+    // Final footprint reading, so --stats and the metrics snapshot
+    // reflect end-of-run space even without --sample-space.
+    engine.sample_run_end(
+        last_time.unwrap_or(TimePoint(0)),
+        transitions as u64,
+        &mut observers(&mut registry, &mut trace),
+    );
+    if let (Some(rotation), CheckEngine::Fleet(set)) = (&checkpoint_rotation, &engine) {
+        let bytes = write_checkpoint(set, rotation, &faults, &mut registry, &mut trace)?;
         let _ = writeln!(
             out,
             "checkpoint written to {} ({bytes} bytes)",
             rotation.primary().display()
         );
     }
-    let n_constraints = match &engine {
-        CheckEngine::Independent(checkers) => checkers.len(),
-        CheckEngine::Fleet(set) => set.len(),
-    };
     let _ = writeln!(
         out,
         "checked {} transitions against {} constraint(s) [{}]: {} violation witness(es) over {} state(s)",
         transitions,
-        n_constraints,
+        engine.len(),
         backend,
         total_violations,
         violated_states,
@@ -907,15 +795,8 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
             let _ = writeln!(out, "quarantined `{name}`: {detail}");
         }
     }
-    if profile {
-        let profiles: Vec<(Symbol, rtic_core::PlanProfile)> = match &engine {
-            CheckEngine::Independent(checkers) => checkers
-                .iter()
-                .filter_map(|ch| ch.plan_profile().map(|p| (ch.constraint().name, p)))
-                .collect(),
-            CheckEngine::Fleet(set) => set.plan_profiles(),
-        };
-        for (name, prof) in &profiles {
+    if let (true, CheckEngine::Fleet(set)) = (profile, &engine) {
+        for (name, prof) in &set.plan_profiles() {
             let _ = writeln!(out, "profile[{name}]:");
             out.push_str(&explain::render_profile(prof));
         }
@@ -925,21 +806,16 @@ fn check(args: &[String], out: &mut String) -> Result<i32, String> {
         // the final space sample above).
         for (constraint, _, space) in registry.latest_space_by_constraint() {
             let _ = writeln!(out, "space[{constraint}]: {space}");
-            let inc = match &engine {
-                CheckEngine::Independent(checkers) => checkers
-                    .iter()
-                    .find(|ch| ch.constraint().name.as_str() == constraint)
-                    .and_then(|ch| ch.as_any().downcast_ref::<IncrementalChecker>()),
-                CheckEngine::Fleet(_) => None,
+            let node_stats = match &engine {
+                CheckEngine::Fleet(set) => set.node_stats(constraint),
+                CheckEngine::Reference(_) => None,
             };
-            if let Some(inc) = inc {
-                for stat in inc.node_stats() {
-                    let _ = writeln!(
-                        out,
-                        "  node `{}`: {} key(s), {} timestamp(s)",
-                        stat.formula, stat.keys, stat.timestamps
-                    );
-                }
+            for stat in node_stats.into_iter().flatten() {
+                let _ = writeln!(
+                    out,
+                    "  node `{}`: {} key(s), {} timestamp(s)",
+                    stat.formula, stat.keys, stat.timestamps
+                );
             }
         }
         if let CheckEngine::Fleet(set) = &engine {
@@ -1023,35 +899,20 @@ fn section_constraint_name(section: &str) -> Option<&str> {
         .find_map(|line| line.strip_prefix("constraint "))
 }
 
-/// Serializes the engine's state into one multi-section v2 container and
-/// writes it through the rotation set (atomic temp-file + fsync +
-/// rename; previous generations shift to `.1`, `.2`, …). Emits one
-/// `CheckpointSave` event per section. Returns the sealed size in bytes.
+/// Serializes the constraint set's state into one multi-section v2
+/// container and writes it through the rotation set (atomic temp-file +
+/// fsync + rename; previous generations shift to `.1`, `.2`, …). Emits
+/// one `CheckpointSave` event per section. Returns the sealed size in
+/// bytes.
 fn write_checkpoint(
-    engine: &CheckEngine,
+    set: &ConstraintSet,
     rotation: &Rotation,
     faults: &FailPlan,
     registry: &mut MetricsRegistry,
     trace: &mut Option<AnyTrace>,
 ) -> Result<usize, String> {
-    let sections: Vec<(Symbol, String)> = match engine {
-        CheckEngine::Fleet(set) => checkpoint::save_set(set),
-        CheckEngine::Independent(checkers) => {
-            let mut sections = Vec::with_capacity(checkers.len());
-            for checker in checkers {
-                let inc = checker
-                    .as_any()
-                    .downcast_ref::<IncrementalChecker>()
-                    .ok_or("--checkpoint requires the incremental checker")?;
-                sections.push((inc.constraint().name, checkpoint::save(inc)));
-            }
-            sections
-        }
-    };
-    let mut obs = MultiObserver::new().with(registry);
-    if let Some(t) = trace.as_mut() {
-        obs.push(t);
-    }
+    let sections = checkpoint::save_set(set);
+    let mut obs = observers(registry, trace);
     for (name, text) in &sections {
         obs.observe(&StepEvent::CheckpointSave {
             constraint: *name,
@@ -1063,69 +924,6 @@ fn write_checkpoint(
         .write(&sealed, faults, "checkpoint.write")
         .map_err(|e| format!("cannot write checkpoint: {e}"))?;
     Ok(sealed.len())
-}
-
-/// Applies the buffered `--batch` lines as one ingestion unit and prints
-/// their reports in order, byte-identical to line-at-a-time output.
-/// Space samples due inside the batch are taken once, against the
-/// post-batch state; checkpoint ticks coalesce — the return value says
-/// whether any line's tick fired, so the caller writes at most one
-/// checkpoint per batch.
-#[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    set: &mut ConstraintSet,
-    pending: &mut Vec<(TimePoint, Update)>,
-    meta: &mut Vec<(usize, u64)>,
-    registry: &mut MetricsRegistry,
-    trace: &mut Option<AnyTrace>,
-    sampler: &mut SpaceSampler,
-    ticker: &mut CheckpointTicker,
-    checkpointing: bool,
-    quiet: bool,
-    log_path: &str,
-    total_violations: &mut usize,
-    violated_states: &mut usize,
-    out: &mut String,
-) -> Result<bool, String> {
-    if pending.is_empty() {
-        return Ok(false);
-    }
-    let (first_line, last_line) = (meta[0].0, meta[meta.len() - 1].0);
-    let mut obs = MultiObserver::new().with(registry);
-    if let Some(t) = trace.as_mut() {
-        obs.push(t);
-    }
-    let per_line = set
-        .apply_batch(pending, &mut obs)
-        .map_err(|e| format!("{log_path}:lines {first_line}-{last_line} (batch): {e}"))?;
-    let mut sampled = false;
-    let mut ticked = false;
-    for (reports, (_, step_index)) in per_line.iter().zip(meta.iter()) {
-        let mut state_bad = false;
-        for report in reports {
-            if !report.ok() {
-                *total_violations += report.violation_count();
-                state_bad = true;
-                if !quiet {
-                    let _ = writeln!(out, "{report}");
-                }
-            }
-        }
-        if state_bad {
-            *violated_states += 1;
-        }
-        if !sampled && sampler.due(*step_index) {
-            set.sample_space(*step_index, &mut obs);
-            sampler.note_sampled();
-            sampled = true;
-        }
-        if checkpointing && ticker.step_completed() {
-            ticked = true;
-        }
-    }
-    pending.clear();
-    meta.clear();
-    Ok(ticked)
 }
 
 fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
@@ -1142,46 +940,35 @@ fn explain_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     // log is replayed through profiling incremental checkers first, so
     // each constraint's report ends with measured per-node annotations —
     // an EXPLAIN ANALYZE for the compiled plans.
-    let mut profiles: Vec<Option<rtic_core::PlanProfile>> = vec![None; file.constraints.len()];
+    let mut profiles: Vec<(Symbol, PlanProfile)> = Vec::new();
     if let Some(log_path) = profile_log {
-        let mut checkers: Vec<IncrementalChecker> = file
-            .constraints
-            .iter()
-            .map(|c| {
-                IncrementalChecker::with_options(
-                    c.clone(),
-                    Arc::clone(&catalog),
-                    EncodingOptions {
-                        profile_plans: true,
-                        ..Default::default()
-                    },
-                )
-                .map_err(|e| format!("constraint `{}`: {e}", c.name))
-            })
-            .collect::<Result<_, String>>()?;
+        let mut set = ConstraintSet::with_options(
+            file.constraints.iter().cloned(),
+            Arc::clone(&catalog),
+            EncodingOptions {
+                profile_plans: true,
+                ..Default::default()
+            },
+        )
+        .map_err(|(c, e)| format!("constraint `{}`: {e}", c.name))?;
         let log_file = std::fs::File::open(log_path)
             .map_err(|e| format!("cannot read log file `{log_path}`: {e}"))?;
         let mut reader = LogReader::new(std::io::BufReader::new(log_file));
         while let Some(item) = reader.next() {
             let tr: Transition = item.map_err(|e| format!("{log_path}:{e}"))?;
             let line = reader.lines_read();
-            for checker in &mut checkers {
-                checker
-                    .step(tr.time, &tr.update)
-                    .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
-            }
+            set.step(tr.time, &tr.update)
+                .map_err(|e| format!("{log_path}:line {line}: at {}: {e}", tr.time))?;
         }
-        for (slot, checker) in profiles.iter_mut().zip(&checkers) {
-            *slot = checker.plan_profile();
-        }
+        profiles = set.plan_profiles();
     }
 
-    for (c, profile) in file.constraints.iter().zip(&profiles) {
+    for c in &file.constraints {
         let compiled = CompiledConstraint::compile(c.clone(), Arc::clone(&catalog))
             .map_err(|e| format!("constraint `{}`: {e}", c.name))?;
         let text = explain::explain(&compiled);
-        match profile {
-            Some(p) => {
+        match profiles.iter().find(|(name, _)| *name == c.name) {
+            Some((_, p)) => {
                 out.push_str(text.trim_end());
                 let _ = writeln!(out);
                 out.push_str(&explain::render_profile(p));
@@ -1479,19 +1266,7 @@ fn serve_cmd(args: &[String], out: &mut String) -> Result<i32, String> {
     if config.resume && config.checkpoint.is_none() {
         return Err("--resume requires --checkpoint (the rotation to recover from)".into());
     }
-    config.parallelism = match flag_value(args, "--parallel") {
-        None => None,
-        Some("auto") => Some(Parallelism::Auto),
-        Some(n) => {
-            let n: usize = n
-                .parse()
-                .map_err(|e| format!("bad --parallel `{n}`: {e}"))?;
-            if n == 0 {
-                return Err("--parallel needs at least one worker (or `auto`)".into());
-            }
-            Some(Parallelism::N(n))
-        }
-    };
+    config.parallelism = parse_parallelism(args)?;
     if let Some(v) = flag_value(args, "--batch") {
         config.batch = v.parse().map_err(|e| format!("bad --batch: {e}"))?;
         if config.batch == 0 {

@@ -122,75 +122,52 @@ fn kill_and_resume_is_byte_identical_parallel_fleet() {
     kill_and_resume("fleet", &["--parallel", "auto"]);
 }
 
-/// Kill the run *mid-batch*: with `--batch 4` and a checkpoint every 3
-/// steps, the coalesced checkpoint lands at the first batch boundary
-/// (after line 4), lines 5–6 sit in the unflushed buffer when the abort
-/// fires on line 7, and the resume must replay exactly the uncovered
-/// suffix — buffered-but-unflushed lines are re-read from the log, never
-/// lost or double-applied. Vectorized kernels stay on throughout, so the
-/// probe-partition caches also rebuild from the restored state.
+/// The same drill on the vectorized kernels: the probe-partition caches
+/// rebuild from the restored state.
 #[test]
-fn kill_and_resume_mid_batch_is_byte_identical() {
-    let c = temp_file("batchvec.rtic", CONSTRAINTS);
-    let l = temp_file("batchvec.rticlog", LOG);
-    let ckpt = temp_file("batchvec.ckpt", "");
-    std::fs::remove_file(&ckpt).ok();
-    let extra = ["--batch", "4", "--vectorize"];
+fn kill_and_resume_vectorized_is_byte_identical() {
+    kill_and_resume("vec", &["--vectorize"]);
+}
 
-    let mut reference = vec!["check", c.to_str().unwrap(), l.to_str().unwrap()];
-    reference.extend_from_slice(&extra);
-    let (code, uninterrupted) = run(&reference);
+/// A checkpoint in the per-constraint layout older releases wrote for a
+/// plain `rtic check --checkpoint` (the fixture covers the first six
+/// lines of `LOG`; its sections carry no dispatch tallies) resumes into
+/// the constraint set, with or without worker threads, and finishes the
+/// log exactly as the uninterrupted run does.
+#[test]
+fn per_constraint_checkpoint_resumes_into_the_constraint_set() {
+    let c = temp_file("indep.rtic", CONSTRAINTS);
+    let l = temp_file("indep.rticlog", LOG);
+    let fixture =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/independent-v1.ckpt");
+    let (code, uninterrupted) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
     assert_eq!(code.unwrap(), 1, "{uninterrupted}");
-
-    // The batched run must report exactly what a plain line-at-a-time
-    // run does before we start crashing it.
-    let (code, plain) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1, "{plain}");
-    assert_eq!(violations(&uninterrupted), violations(&plain));
-
-    let mut first = vec![
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-        "--checkpoint-every",
-        "3",
-        "--failpoints",
-        "run.abort=abort@7",
-    ];
-    first.extend_from_slice(&extra);
-    let (code, killed) = run(&first);
-    assert!(
-        code.unwrap_err().contains("injected crash"),
-        "the drill crashes the run"
-    );
-
-    let mut second = vec![
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--resume",
-        ckpt.to_str().unwrap(),
-    ];
-    second.extend_from_slice(&extra);
-    let (code, resumed) = run(&second);
-    assert_eq!(code.unwrap(), 1, "{resumed}");
-    assert!(resumed.contains("resumed from"), "{resumed}");
-    // The checkpoint coalesced to the batch boundary: it covers the
-    // first full batch (4 lines), not the raw --checkpoint-every tick.
-    assert!(
-        resumed.contains("skipped 4 transition(s) already covered"),
-        "{resumed}"
-    );
-
-    let mut stitched = violations(&killed);
-    stitched.extend(violations(&resumed));
-    assert_eq!(
-        stitched,
-        violations(&uninterrupted),
-        "mid-batch kill: stitched reports diverge from the uninterrupted run"
-    );
+    let after_cursor: Vec<String> = violations(&uninterrupted)
+        .into_iter()
+        .filter(|v| {
+            let t: u64 = v[1..v.find(' ').unwrap()].parse().unwrap();
+            t > 5
+        })
+        .collect();
+    assert!(!after_cursor.is_empty(), "{uninterrupted}");
+    for extra in [&[][..], &["--parallel", "2"][..]] {
+        let mut args = vec![
+            "check",
+            c.to_str().unwrap(),
+            l.to_str().unwrap(),
+            "--resume",
+            fixture.to_str().unwrap(),
+        ];
+        args.extend_from_slice(extra);
+        let (code, resumed) = run(&args);
+        assert_eq!(code.unwrap(), 1, "{extra:?}: {resumed}");
+        assert!(resumed.contains("at t=@5"), "{extra:?}: {resumed}");
+        assert!(
+            resumed.contains("skipped 6 transition(s) already covered"),
+            "{extra:?}: {resumed}"
+        );
+        assert_eq!(violations(&resumed), after_cursor, "{extra:?}");
+    }
 }
 
 /// A checkpoint written by the removed `--shard auto` data plane (the
@@ -402,18 +379,32 @@ fn panicking_engine_is_quarantined_and_the_fleet_keeps_reporting() {
     assert!(violations(&out).len() < violations(&healthy).len(), "{out}");
 }
 
+/// Every incremental `check` runs the constraint set, so quarantine
+/// needs no `--parallel`; the per-constraint reference checkers have no
+/// quarantine and refuse the failpoint.
 #[test]
 fn quarantine_requires_fleet_mode() {
     let c = temp_file("qf.rtic", CONSTRAINTS);
     let l = temp_file("qf.rticlog", LOG);
-    let (code, _) = run(&[
+    let (code, out) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
         "--failpoints",
+        "engine-panic:unconfirmed=panic@2",
+    ]);
+    assert_eq!(code.unwrap(), 1, "the run completes: {out}");
+    assert!(out.contains("quarantined `unconfirmed`"), "{out}");
+    let (code, _) = run(&[
+        "check",
+        c.to_str().unwrap(),
+        l.to_str().unwrap(),
+        "--checker",
+        "naive",
+        "--failpoints",
         "engine-panic:unconfirmed=panic",
     ]);
-    assert!(code.unwrap_err().contains("--parallel"));
+    assert!(code.unwrap_err().contains("incremental checker"));
 }
 
 const BAD_LOG: &str = r#"

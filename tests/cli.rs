@@ -764,8 +764,9 @@ fn report_renders_p90_quantile() {
 
 /// Every subcommand rejects a flag it does not know, instead of running
 /// without it. The rows include a misspelt `--checkpoint-every` (the run
-/// must not start and silently skip the periodic checkpoints) and the
-/// flags of the removed sharded data plane.
+/// must not start and silently skip the periodic checkpoints), the
+/// flags of the removed sharded data plane, and the removed
+/// `check --batch`.
 #[test]
 fn unknown_flags_are_rejected_by_every_subcommand() {
     let c = temp_file("uf.rtic", CONSTRAINTS);
@@ -786,6 +787,7 @@ fn unknown_flags_are_rejected_by_every_subcommand() {
         ),
         (&["check", c, l, "--shard", "auto"], "--shard"),
         (&["check", c, l, "--shard-evict", "4"], "--shard-evict"),
+        (&["check", c, l, "--batch", "4"], "--batch"),
         (&["report", "m.json", "--bogus"], "--bogus"),
         (&["explain", c, "--bogus", "7"], "--bogus"),
         (&["generate", "fraud", "--bogus", "7"], "--bogus"),
@@ -812,65 +814,6 @@ fn unknown_flags_are_rejected_by_every_subcommand() {
 }
 
 #[test]
-fn batch_check_matches_line_at_a_time_output() {
-    let c = temp_file("b.rtic", CONSTRAINTS);
-    let l = temp_file("b.rticlog", LOG);
-    let (code, seq) = run(&["check", c.to_str().unwrap(), l.to_str().unwrap()]);
-    assert_eq!(code.unwrap(), 1);
-    // Batch sizes that divide the log, exceed it, and leave a remainder.
-    for batch in ["2", "3", "5", "64"] {
-        let (code, batched) = run(&[
-            "check",
-            c.to_str().unwrap(),
-            l.to_str().unwrap(),
-            "--batch",
-            batch,
-        ]);
-        assert_eq!(code.unwrap(), 1, "--batch {batch}");
-        assert_eq!(batched, seq, "--batch {batch} changed the output");
-    }
-}
-
-#[test]
-fn batch_check_with_interleaved_bad_lines_matches_line_at_a_time() {
-    // Malformed lines interleave with good ones and with pure ticks;
-    // under `--on-bad-line skip` they are skipped *before* the batch
-    // buffer, so every batch size sees the same good-line stream and
-    // prints byte-identical output (including the skip summary).
-    let c = temp_file("bb.rtic", CONSTRAINTS);
-    let l = temp_file(
-        "bb.rticlog",
-        r#"
-@0 +reserved("ann", 17)
-this is not a transition
-@1
-@2 garbage +++
-@2
-@3 +confirmed("ann", 17)
-also bad
-@4
-"#,
-    );
-    let base = [
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--on-bad-line",
-        "skip",
-    ];
-    let (code, seq) = run(&base);
-    assert_eq!(code.unwrap(), 1, "{seq}");
-    assert!(seq.contains("skipped 3 malformed line(s)"), "{seq}");
-    for batch in ["2", "3", "64"] {
-        let mut args = base.to_vec();
-        args.extend_from_slice(&["--batch", batch, "--vectorize"]);
-        let (code, batched) = run(&args);
-        assert_eq!(code.unwrap(), 1, "--batch {batch}");
-        assert_eq!(batched, seq, "--batch {batch} changed the output");
-    }
-}
-
-#[test]
 fn vectorize_matches_scalar_output() {
     let c = temp_file("v.rtic", CONSTRAINTS);
     let l = temp_file("v.rticlog", LOG);
@@ -884,132 +827,109 @@ fn vectorize_matches_scalar_output() {
     ]);
     assert_eq!(code.unwrap(), 1);
     assert_eq!(vec_out, scalar, "--vectorize changed the output");
-    // Vectorize composes with batching and the fleet.
+    // Vectorize composes with worker threads.
     let (code, both) = run(&[
         "check",
         c.to_str().unwrap(),
         l.to_str().unwrap(),
         "--vectorize",
-        "--batch",
-        "2",
         "--parallel",
         "2",
     ]);
     assert_eq!(code.unwrap(), 1);
-    assert_eq!(both, scalar, "--vectorize --batch --parallel diverged");
+    assert_eq!(both, scalar, "--vectorize --parallel diverged");
 }
 
+/// `--batch` is a `serve` option only; `check` reads its log one line
+/// at a time. `--vectorize` needs the incremental checker.
 #[test]
 fn batch_and_vectorize_flag_validation() {
     let c = temp_file("bv.rtic", CONSTRAINTS);
     let l = temp_file("bv.rticlog", LOG);
-    let base = [
-        c.to_str().unwrap().to_string(),
-        l.to_str().unwrap().to_string(),
-    ];
-    let (code, _) = run(&["check", &base[0], &base[1], "--batch", "0"]);
-    assert!(code.unwrap_err().contains("--batch"));
-    let (code, _) = run(&["check", &base[0], &base[1], "--batch", "two"]);
-    assert!(code.unwrap_err().contains("bad --batch"));
-    let (code, _) = run(&[
-        "check",
-        &base[0],
-        &base[1],
-        "--checker",
-        "naive",
-        "--batch",
-        "4",
-    ]);
-    assert!(code.unwrap_err().contains("incremental"));
-    let (code, _) = run(&[
-        "check",
-        &base[0],
-        &base[1],
-        "--checker",
-        "windowed",
-        "--vectorize",
-    ]);
+    let (c, l) = (c.to_str().unwrap(), l.to_str().unwrap());
+    let (code, _) = run(&["check", c, l, "--batch", "4"]);
+    assert!(code.unwrap_err().contains("unknown flag --batch "));
+    let (code, _) = run(&["check", c, l, "--checker", "windowed", "--vectorize"]);
     assert!(code.unwrap_err().contains("incremental"));
 }
 
+/// Every incremental run is one constraint set, so `--stats` (space and
+/// per-node lines, the dispatch tally, the plan row) does not depend on
+/// the worker count.
 #[test]
-fn batch_check_records_batch_ingest_metrics() {
-    let c = temp_file("bm.rtic", CONSTRAINTS);
-    let l = temp_file("bm.rticlog", LOG);
-    let m = temp_file("bm.json", "");
-    let t = temp_file("bm.jsonl", "");
-    let (code, _) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l.to_str().unwrap(),
-        "--quiet",
-        "--batch",
-        "2",
-        "--metrics",
-        m.to_str().unwrap(),
-        "--trace",
-        t.to_str().unwrap(),
-    ]);
-    assert_eq!(code.unwrap(), 1);
-    let doc = rtic::obs::json::parse(&std::fs::read_to_string(&m).unwrap()).unwrap();
-    // 5 transitions in batches of 2 → 2 full batches + 1 remainder.
-    assert_eq!(doc.get("steps").and_then(|v| v.as_u64()), Some(5));
-    assert_eq!(doc.get("batches").and_then(|v| v.as_u64()), Some(3));
-    assert_eq!(doc.get("batch_lines").and_then(|v| v.as_u64()), Some(5));
-    assert_eq!(doc.get("last_batch_size").and_then(|v| v.as_u64()), Some(1));
-    let trace = std::fs::read_to_string(&t).unwrap();
-    let batch_events = trace
-        .lines()
-        .filter(|ln| ln.contains("\"event\":\"batch_ingest\""))
-        .count();
-    assert_eq!(batch_events, 3, "{trace}");
+fn stats_are_identical_with_and_without_parallel() {
+    let c = temp_file("sp.rtic", CONSTRAINTS);
+    let l = temp_file("sp.rticlog", LOG);
+    let base = ["check", c.to_str().unwrap(), l.to_str().unwrap(), "--stats"];
+    let (code, seq) = run(&base);
+    assert_eq!(code.unwrap(), 1, "{seq}");
+    for needle in [
+        "space[unconfirmed]",
+        "  node `",
+        "dispatch: ",
+        "plan[incremental]",
+    ] {
+        assert!(seq.contains(needle), "missing `{needle}`: {seq}");
+    }
+    let mut par = base.to_vec();
+    par.extend_from_slice(&["--parallel", "2"]);
+    let (code, par) = run(&par);
+    assert_eq!(code.unwrap(), 1, "{par}");
+    assert_eq!(par, seq);
 }
 
+/// Every registered scenario, at a small scale: the default run and a
+/// two-worker run print the same bytes, `--stats` included, and the
+/// naive reference evaluator finds the same violations.
 #[test]
-fn batch_checkpoint_and_resume_match_single_pass() {
-    let c = temp_file("bck.rtic", CONSTRAINTS);
-    let full = "@0 +reserved(\"ann\", 17)\n@1 +reserved(\"bob\", 9)\n@2\n@3\n@4 +confirmed(\"bob\", 9)\n@5\n";
-    let l_full = temp_file("bck-full.rticlog", full);
-    let l1 = temp_file(
-        "bck-1.rticlog",
-        "@0 +reserved(\"ann\", 17)\n@1 +reserved(\"bob\", 9)\n@2\n",
-    );
-    let l2 = temp_file("bck-2.rticlog", "@3\n@4 +confirmed(\"bob\", 9)\n@5\n");
-    let ckpt = temp_file("bck.ckpt", "");
-    let (_, single) = run(&["check", c.to_str().unwrap(), l_full.to_str().unwrap()]);
-    let single_violations: Vec<&str> = single.lines().filter(|l| l.contains("VIOLATION")).collect();
-    // Both segments run batched (with a mid-segment checkpoint tick);
-    // the resume cursor must skip the covered prefix exactly.
-    let (code1, seg1) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l1.to_str().unwrap(),
-        "--batch",
-        "2",
-        "--checkpoint",
-        ckpt.to_str().unwrap(),
-        "--checkpoint-every",
-        "2",
-    ]);
-    assert_eq!(code1.unwrap(), 1, "{seg1}");
-    let (code2, seg2) = run(&[
-        "check",
-        c.to_str().unwrap(),
-        l2.to_str().unwrap(),
-        "--batch",
-        "2",
-        "--resume",
-        ckpt.to_str().unwrap(),
-    ]);
-    assert_eq!(code2.unwrap(), 1, "{seg2}");
-    let seg_violations: Vec<String> = seg1
+fn every_scenario_checks_identically_across_engines() {
+    let (code, list) = run(&["generate", "--list"]);
+    assert_eq!(code.unwrap(), 0);
+    let scenarios: Vec<&str> = list
         .lines()
-        .chain(seg2.lines())
-        .filter(|l| l.contains("VIOLATION"))
-        .map(str::to_string)
+        .filter_map(|l| l.split_whitespace().next())
         .collect();
-    assert_eq!(
-        seg_violations, single_violations,
-        "batched segmented run diverged"
-    );
+    assert!(scenarios.len() >= 9, "{list}");
+    for scenario in scenarios {
+        let (code, log) = run(&[
+            "generate",
+            scenario,
+            "--steps",
+            "30",
+            "--entities",
+            "6",
+            "--seed",
+            "5",
+        ]);
+        assert_eq!(code.unwrap(), 0, "{scenario}");
+        let constraints: String = log
+            .lines()
+            .filter_map(|l| l.strip_prefix("#   "))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        let c = temp_file(&format!("sc-{scenario}.rtic"), &constraints);
+        let l = temp_file(&format!("sc-{scenario}.rticlog"), &log);
+        let base = ["check", c.to_str().unwrap(), l.to_str().unwrap(), "--stats"];
+        let (code, default) = run(&base);
+        let code = code.unwrap();
+        let mut par = base.to_vec();
+        par.extend_from_slice(&["--parallel", "2"]);
+        let (par_code, parallel) = run(&par);
+        assert_eq!(
+            (par_code.unwrap(), &parallel),
+            (code, &default),
+            "{scenario}"
+        );
+        let mut naive = base.to_vec();
+        naive.extend_from_slice(&["--checker", "naive"]);
+        let (naive_code, reference) = run(&naive);
+        assert_eq!(naive_code.unwrap(), code, "{scenario}");
+        let violations = |out: &str| -> Vec<String> {
+            out.lines()
+                .filter(|l| l.contains("VIOLATION"))
+                .map(str::to_string)
+                .collect()
+        };
+        assert_eq!(violations(&reference), violations(&default), "{scenario}");
+    }
 }
